@@ -221,6 +221,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_audit(args) -> int:
     config = load_job_config(args)
+    if args.sample < 0:
+        raise ValueError(f"--sample must be nonnegative, got {args.sample}")
     try:
         ctx = build_context(config, guard_digits=args.guard_digits,
                             fault=args.fault_inject)

@@ -4,15 +4,28 @@ Scalars are elements of Z_p stored as big integers modulo p^N with a
 tracked absolute precision N (``PadicInt``).  Field elements of
 K0 = Q_p(pi0), where pi0^e0 = p * unit is Eisenstein, are stored as
 
-    pi0^shift * (c_0 + c_1*pi0 + ... + c_{e0-1}*pi0^{e0-1})
+    pi0^shift * (d_0 + d_1*pi0 + ... + d_{e0-1}*pi0^{e0-1}) + O(pi0^N)
 
-with c_i in Z_p (``K0Element``).  The explicit pi0-power shift keeps all
-digit arithmetic integral even for elements of negative valuation.
+with e0 plain nonnegative ints d_i and one absolute pi0-precision N per
+element (``K0Element``), the capped-absolute model of Caruso, Roe and
+Vaccon, "Tracking p-adic precision" (ANTS 2014).  Digit i is reduced
+modulo p^ceil((N - shift - i) / e0), so every term it carries is known.
+The explicit pi0-power shift keeps all digit arithmetic integral even
+for elements of negative valuation.
 
-Valuations are exact: the candidate term valuations e0*v_p(c_i) + i are
-pairwise distinct modulo e0, so the minimum is attained by a unique term
-and no cross-term cancellation can hide it.  Precision propagates per the
-ultrametric rules (min for sums, val+prec cross terms for products).
+Precision follows the ultrametric rules: N = min(N_a, N_b) for sums and
+N = min(vf(a) + N_b, vf(b) + N_a) for products, vf the valuation floor.
+The Eisenstein unit is the exact integer it was given as, so folding
+pi0^e0 = p * unit costs no precision.  Products use Kronecker
+substitution: each digit vector is packed into one big integer, one
+integer product gives the 2*e0 - 1 convolution sums, and the upper ones
+fold back through p * unit before the e0 digits are read out.
+
+Valuations are exact: the term valuations e0*v_p(d_i) + i are pairwise
+distinct modulo e0, so the minimum is attained by a unique term and no
+cross-term cancellation can hide it.  Normalizing a nonzero
+element moves this minimum to digit 0; an element whose digits all
+vanish is zero at its precision, with valuation floor N.
 """
 
 from __future__ import annotations
@@ -30,6 +43,12 @@ from .errors import (
 @lru_cache(maxsize=None)
 def _pk(p: int, k: int) -> int:
     return p**k
+
+
+_add = int.__add__
+_sub = int.__sub__
+_neg = int.__neg__
+_mod = int.__mod__
 
 
 class PadicInt:
@@ -159,7 +178,7 @@ class PadicInt:
 class BaseField:
     """Totally ramified base field Q_p(pi0) with pi0^e0 = p * unit."""
 
-    __slots__ = ("p", "e0", "unit", "prec_digits", "_unit_inv", "_p_unit")
+    __slots__ = ("p", "e0", "unit", "prec_digits", "_pu", "_zeros", "_moduli")
 
     def __init__(self, p: int, e0: int, unit_digits: int = 1, prec_digits: int = 32):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
@@ -168,14 +187,18 @@ class BaseField:
             raise ValueError("e0 must be at least 1")
         if prec_digits < 1:
             raise ValueError("prec_digits must be positive")
+        if unit_digits < 1 or unit_digits % p == 0:
+            # positive, so that products can fold through p * unit in
+            # packed form
+            raise ValueError("eisenstein unit must be a positive integer prime to p")
         self.p = p
         self.e0 = e0
         self.prec_digits = prec_digits
-        self.unit = PadicInt(p, unit_digits, prec_digits)
-        if self.unit.valuation() != 0:
-            raise ValueError("eisenstein unit must be a p-adic unit")
-        self._unit_inv = self.unit.unit_inverse()
-        self._p_unit = self.unit * p  # pi0^e0 as a Z_p scalar
+        # the Eisenstein relation is exact: pi0^e0 is the integer p * unit
+        self.unit = unit_digits
+        self._pu = p * unit_digits
+        self._zeros = (0,) * e0
+        self._moduli = {}
 
     def exact(self, n: int) -> PadicInt:
         return PadicInt(self.p, n, self.prec_digits)
@@ -193,101 +216,151 @@ class BaseField:
         return self.monomial(1, k)
 
     def monomial(self, c: int | PadicInt, k: int) -> "K0Element":
-        """The element c * pi0^k."""
-        if isinstance(c, int):
-            c = self.exact(c)
-        coeffs = [c] + [PadicInt(self.p, 0, self.prec_digits)] * (self.e0 - 1)
-        return K0Element.make(self, k, tuple(coeffs))
+        """The element c * pi0^k; an int c is known to ``prec_digits``."""
+        if isinstance(c, PadicInt):
+            coeffs = (c,) + (self.exact(0),) * (self.e0 - 1)
+            return K0Element.make(self, k, coeffs)
+        return K0Element._build(self, k, [c, *self._zeros[1:]],
+                                k + self.e0 * self.prec_digits)
 
     def scalar(self, c: PadicInt) -> "K0Element":
         return self.monomial(c, 0)
+
+    def _digit_moduli(self, m: int) -> tuple:
+        """The moduli p^ceil((m - i) / e0), at least 1, of the digits of
+        an element known to relative precision m = absprec - shift,
+        cached with one entry per relative precision that occurs."""
+        mods = self._moduli.get(m)
+        if mods is None:
+            q, r = divmod(max(m, 0), self.e0)
+            hi = _pk(self.p, q + 1)
+            lo = _pk(self.p, q)
+            mods = self._moduli[m] = (hi,) * r + (lo,) * (self.e0 - r)
+        return mods
+
+    def _raise(self, digits, t: int):
+        """Digits of pi0^t * sum digits[i] pi0^i, t >= 0, at the same
+        shift: terms past pi0^e0 fold through pi0^e0 = p * unit."""
+        e0 = self.e0
+        q, r = divmod(t, e0)
+        if q:
+            f = self._pu**q
+            digits = [d * f for d in digits]
+        if r:
+            pu = self._pu
+            digits = [d * pu for d in digits[e0 - r:]] + [*digits[:e0 - r]]
+        return digits
 
     def __repr__(self):
         return f"BaseField(p={self.p}, e0={self.e0})"
 
 
 class K0Element:
-    """An element of K0 = Q_p(pi0) in canonical pi0-shifted form."""
+    """pi0^shift * sum_i digits[i] * pi0^i + O(pi0^absprec) in K0.
 
-    __slots__ = ("field", "shift", "coeffs")
+    A nonzero element is normalized (digit 0 a unit), so its valuation is
+    ``shift``; a zero keeps the shift its arithmetic produced.
+    """
 
-    def __init__(self, field: BaseField, shift: int, coeffs: tuple):
+    __slots__ = ("field", "shift", "digits", "absprec")
+
+    def __init__(self, field: BaseField, shift: int, digits: tuple, absprec: int):
         self.field = field
         self.shift = shift
-        self.coeffs = coeffs
+        self.digits = digits
+        self.absprec = absprec
 
     @classmethod
     def make(cls, field: BaseField, shift: int, coeffs: tuple) -> "K0Element":
-        """Build and bring to canonical form (some coefficient a unit,
-        unless indistinguishable from zero)."""
+        """Build from per-coefficient Z_p scalars c_i of pi0^(shift+i);
+        the element is known up to the least of their precisions."""
+        e0 = field.e0
+        absprec = shift + min(e0 * c.prec + i for i, c in enumerate(coeffs))
+        return cls._build(field, shift, [c.digits for c in coeffs], absprec)
+
+    @classmethod
+    def _build(cls, field: BaseField, shift: int, digits, absprec: int) -> "K0Element":
+        """Reduce the e0 ``digits`` (any iterable of ints) modulo the
+        precision and normalize."""
+        digits = tuple(map(_mod, digits, field._digit_moduli(absprec - shift)))
+        p = field.p
+        if digits[0] % p:
+            return cls(field, shift, digits, absprec)
+        # the least term valuation t = e0*v_p(d_i) + i; the first unit
+        # digit i ends the search, as every other term lies past i
         e0 = field.e0
         t = None
-        for i, c in enumerate(coeffs):
-            v = c.valuation()
-            if v is not None:
-                cand = e0 * v + i
-                if t is None or cand < t:
-                    t = cand
-        if t is None or t == 0:
-            return cls(field, shift, tuple(coeffs))
-        coeffs = list(coeffs)
-        for _ in range(t):
-            c0 = coeffs[0].divexact_p(1) * field._unit_inv
-            coeffs = coeffs[1:] + [c0]
-            shift += 1
-        return cls(field, shift, tuple(coeffs))
+        for i, d in enumerate(digits):
+            if d:
+                v = 0
+                while d % p == 0:
+                    d //= p
+                    v += 1
+                if t is None or e0 * v + i < t:
+                    t = e0 * v + i
+                if not v:
+                    break
+        if t is None:
+            return cls(field, shift, field._zeros, absprec)
+        # divide by pi0^t = (p * unit)^q * pi0^r: digit i moves to
+        # position i - r and, when that wraps below 0, loses one more
+        # factor p * unit
+        q, r = divmod(t, e0)
+        lo = _pk(p, q)
+        hi = lo * p
+        out = [d // lo for d in digits[r:]] + [d // hi for d in digits[:r]]
+        u = field.unit
+        if u == 1:
+            return cls(field, shift + t, tuple(out), absprec)
+        m = _pk(p, (absprec - shift - t) // e0 + 1)
+        ulo = pow(u, -q, m)
+        uhi = ulo * pow(u, -1, m)
+        out = [d * ulo for d in out[:e0 - r]] + [d * uhi for d in out[e0 - r:]]
+        return cls._build(field, shift + t, out, absprec)
 
     # -- introspection ------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The digits as Z_p scalars, each at its implied precision."""
+        p = self.field.p
+        e0 = self.field.e0
+        m = self.absprec - self.shift
+        return tuple(PadicInt(p, d, -((i - m) // e0))
+                     for i, d in enumerate(self.digits))
+
     def _val_parts(self):
         """(exact valuation or None, lower bound that always holds)."""
-        e0 = self.field.e0
-        det = None
-        bound = None
-        for i, c in enumerate(self.coeffs):
-            v = c.valuation()
-            if v is None:
-                cand = e0 * c.prec + i
-                if bound is None or cand < bound:
-                    bound = cand
-            else:
-                cand = e0 * v + i
-                if det is None or cand < det:
-                    det = cand
-        if det is not None and (bound is None or det < bound):
-            return self.shift + det, self.shift + det
-        floor = min(x for x in (det, bound) if x is not None)
-        return None, self.shift + floor
+        if self.digits[0]:
+            return self.shift, self.shift
+        return None, self.absprec
 
     def valuation(self) -> int:
-        v, _ = self._val_parts()
-        if v is None:
+        if not self.digits[0]:
             raise IndeterminateValuation(
                 "element has no resolvable valuation at current precision"
             )
-        return v
+        return self.shift
 
     def val_floor(self) -> int:
         """A guaranteed lower bound on the valuation."""
-        v, floor = self._val_parts()
-        return floor
+        return self.shift if self.digits[0] else self.absprec
 
     def precision(self) -> int:
         """Absolute v0-precision: the element is known modulo pi0^prec."""
-        e0 = self.field.e0
-        return self.shift + min(e0 * c.prec + i for i, c in enumerate(self.coeffs))
+        return self.absprec
 
     def is_zero(self) -> bool:
         """True when indistinguishable from zero at current precision."""
-        return all(c.digits == 0 for c in self.coeffs)
+        return not self.digits[0]
 
     def is_pristine_zero(self) -> bool:
         """Zero with no precision loss (a structural zero): safe to drop
         from products without weakening any precision bound that the
-        surrounding computation could ever assert against."""
-        return self.shift >= 0 and all(
-            c.digits == 0 and c.prec >= self.field.prec_digits for c in self.coeffs
-        )
+        surrounding computation could ever assert against.  Equivalently,
+        every digit is known to ``prec_digits`` at a shift >= 0."""
+        return (not self.digits[0] and self.shift >= 0
+                and self.absprec - self.shift >= self.field.e0 * self.field.prec_digits)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -298,69 +371,82 @@ class K0Element:
             return self.field.scalar(other)
         return other
 
-    def _raised(self, t: int) -> tuple:
-        """Coefficients of self rewritten with shift lowered by t >= 0."""
-        if t == 0:
-            return self.coeffs
+    def _combine(self, other, op) -> "K0Element":
+        """self op other for op int addition or subtraction, digitwise
+        at the lesser shift."""
+        if other.__class__ is not K0Element:
+            other = self._coerce(other)
+            if not isinstance(other, K0Element):
+                return NotImplemented
         field = self.field
-        e0 = field.e0
-        q, r = divmod(t, e0)
-        coeffs = self.coeffs
-        if q:
-            f = field._p_unit**q
-            coeffs = tuple(c * f for c in coeffs)
-        if r:
-            pu = field._p_unit
-            coeffs = tuple(
-                coeffs[i - r] if i >= r else coeffs[e0 + i - r] * pu
-                for i in range(e0)
-            )
-        return coeffs
+        if other.field is not field:
+            raise ValueError("elements of different base fields")
+        a = self.digits
+        b = other.digits
+        s = self.shift
+        t = other.shift - s
+        if t > 0:
+            b = field._raise(b, t)
+        elif t < 0:
+            a = field._raise(a, -t)
+            s = other.shift
+        return K0Element._build(field, s, map(op, a, b),
+                                min(self.absprec, other.absprec))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, K0Element):
-            return NotImplemented
-        if other.field is not self.field:
-            raise ValueError("elements of different base fields")
-        s = min(self.shift, other.shift)
-        a = self._raised(self.shift - s)
-        b = other._raised(other.shift - s)
-        return K0Element.make(self.field, s, tuple(x + y for x, y in zip(a, b)))
+        return self._combine(other, _add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return K0Element(self.field, self.shift, tuple(-c for c in self.coeffs))
+        return K0Element._build(self.field, self.shift,
+                                map(_neg, self.digits), self.absprec)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
+        return self._combine(other, _sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, K0Element):
-            return NotImplemented
+        if other.__class__ is not K0Element:
+            other = self._coerce(other)
+            if not isinstance(other, K0Element):
+                return NotImplemented
         field = self.field
         if other.field is not field:
             raise ValueError("elements of different base fields")
+        a = self.digits
+        b = other.digits
+        shift = self.shift + other.shift
+        # known to min(vf(a) + N(b), vf(b) + N(a)), vf the valuation floor
+        absprec = min((self.shift if a[0] else self.absprec) + other.absprec,
+                      (other.shift if b[0] else other.absprec) + self.absprec)
+        if not (a[0] and b[0]):
+            return K0Element(field, shift, field._zeros, absprec)
+        # Kronecker substitution: pack each digit vector into one integer
+        # with w-bit slots, multiply once, fold the upper e0 - 1
+        # convolution slots onto the lower ones through pi0^e0 = p * unit
+        # while still packed, and read the e0 digits back out.  The slots
+        # are wide enough for any folded convolution sum.
         e0 = field.e0
-        a = self.coeffs
-        b = other.coeffs
-        conv = [None] * (2 * e0 - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                t = ca * cb
-                k = i + j
-                conv[k] = t if conv[k] is None else conv[k] + t
-        pu = field._p_unit
-        out = list(conv[:e0])
-        for k in range(e0, 2 * e0 - 1):
-            out[k - e0] = out[k - e0] + conv[k] * pu
-        return K0Element.make(field, self.shift + other.shift, tuple(out))
+        pu = field._pu
+        w = (max(a).bit_length() + max(b).bit_length() + e0.bit_length()
+             + pu.bit_length() + 1)
+        x = 0
+        for d in reversed(a):
+            x = (x << w) | d
+        y = 0
+        for d in reversed(b):
+            y = (y << w) | d
+        z = x * y
+        low = w * e0
+        z = (z & ((1 << low) - 1)) + pu * (z >> low)
+        mask = (1 << w) - 1
+        digits = [(z >> (w * k)) & mask for k in range(e0)]
+        # both digit-0 terms are units, so the product is normalized
+        # whenever the precision reaches its digit 0
+        return K0Element._build(field, shift, digits, absprec)
 
     __rmul__ = __mul__
 
@@ -378,22 +464,25 @@ class K0Element:
         return result
 
     def inverse(self) -> "K0Element":
-        if self.is_zero():
+        if not self.digits[0]:
             raise DivisionByIndeterminateZero(
                 "inverse of an element indistinguishable from zero"
             )
-        self.valuation()  # raises IndeterminateValuation when ambiguous
         field = self.field
-        # canonical form means the polynomial part is a unit of O0 with
-        # unit constant coefficient
-        u = K0Element(field, 0, self.coeffs)
-        z = field.scalar(self.coeffs[0].unit_inverse())
+        # normalized form means the digits are a unit of O0 with unit
+        # constant digit, known modulo pi0^m; Newton-iterate its inverse
+        # from the inverse of digit 0, which is known no better than the
+        # unit itself
+        m = self.absprec - self.shift
+        u = K0Element(field, 0, self.digits, m)
+        z0 = pow(self.digits[0], -1, field._digit_moduli(m)[0])
+        z = K0Element._build(field, 0, [z0, *field._zeros[1:]], m)
         one = field.one()
         r = one - u * z
         for _ in range(64):
             if r.is_zero():
-                inv = K0Element.make(field, z.shift - self.shift, z.coeffs)
-                return inv
+                return K0Element(field, z.shift - self.shift, z.digits,
+                                 z.absprec - self.shift)
             z = z + z * r
             r = one - u * z
         raise PrecisionExhausted("unit inversion did not stabilize")
@@ -415,12 +504,10 @@ class K0Element:
     __hash__ = None
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.digits:
-                terms.append(f"{c.digits}*pi0^{i + self.shift}")
+        terms = [f"{d}*pi0^{i + self.shift}"
+                 for i, d in enumerate(self.digits) if d]
         body = " + ".join(terms) if terms else "0"
-        return f"K0Element({body} + O(pi0^{self.precision()}))"
+        return f"K0Element({body} + O(pi0^{self.absprec}))"
 
 
 def wp_membership_guard(a: K0Element) -> bool:

@@ -51,6 +51,16 @@ class JobConfig:
     precision: int | None = None
     fmt: str = "text"
 
+    def __post_init__(self):
+        if self.p < 2:
+            raise ValueError(f"p must be a prime, got {self.p}")
+        if self.e0 < 1:
+            raise ValueError(f"e0 must be at least 1, got {self.e0}")
+        if self.precision is not None and self.precision < 1:
+            raise ValueError(
+                f"precision must be a positive v2-target, got {self.precision}"
+            )
+
     def as_dict(self):
         target = self.precision
         if target is None:

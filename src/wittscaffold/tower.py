@@ -142,12 +142,13 @@ class ExtensionDesc:
 class K2Element:
     """An element of K2 on the x1^i x2^j basis with K0 coefficients."""
 
-    __slots__ = ("ext", "rows", "_ycache")
+    __slots__ = ("ext", "rows", "_ycache", "_scache")
 
     def __init__(self, ext: ExtensionDesc, rows):
         self.ext = ext
         self.rows = tuple(tuple(r) for r in rows)
         self._ycache = None
+        self._scache = None
 
     @classmethod
     def from_scalar(cls, ext: ExtensionDesc, c: K0Element) -> "K2Element":
@@ -292,6 +293,13 @@ class K2Element:
         return self._ycache
 
     def _stats(self):
+        """(exact valuation or None, bound on the undetermined terms,
+        absolute precision), computed once per element."""
+        if self._scache is None:
+            self._scache = self._compute_stats()
+        return self._scache
+
+    def _compute_stats(self):
         ext = self.ext
         p2 = ext.p**2
         pb1 = ext.p * ext.b1

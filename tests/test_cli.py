@@ -224,3 +224,39 @@ class TestConfigParsing:
         assert main(["validate", "--config", str(path)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["precision_v2"] == 120
+
+
+class TestInputGaps:
+    @pytest.mark.parametrize("p,e0,message", [
+        (3, 0, "e0 must be at least 1"),
+        (0, 6, "p must be a prime"),
+    ])
+    def test_zero_p_or_e0_is_a_validation_failure(self, tmp_path, capsys,
+                                                  p, e0, message):
+        path = tmp_path / "zero.cfg"
+        path.write_text(f"p = {p}\ne0 = {e0}\na1 = pi0^-1\nmu = pi0^-1\n")
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_precision_rejected(self, tmp_path, capsys, where, value):
+        path = tmp_path / "prec.cfg"
+        text = EXAMPLE_CFG
+        argv = ["validate", "--config", str(path), "--json"]
+        if where == "flag":
+            argv += ["--precision", value]
+        else:
+            text += f"precision = {value}\n"
+        path.write_text(text)
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "precision must be a positive" in captured.err
+        assert captured.out == ""
+
+    def test_negative_sample_rejected(self, example_cfg, capsys):
+        rc = main(["audit", "--config", example_cfg, "--sample", "-3", "--json"])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "--sample must be nonnegative" in captured.err
+        assert captured.out == ""

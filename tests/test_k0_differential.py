@@ -1,0 +1,223 @@
+"""The flat K0 representation against the per-coefficient reference.
+
+Seeded chains of ``+ - * inverse`` run in
+``wittscaffold.padic.K0Element`` (one absolute precision per element)
+and in ``k0_reference.RefK0Element`` (one precision per coefficient).
+
+* From full-precision inputs, every step is recomputed by the reference
+  from the same operands.  Both must report the same valuation outcome,
+  valuation floor, precision and digits modulo that precision.  The one
+  allowed difference: where the reference inverse claims more precision
+  than its input's relative precision justifies, the flat inverse
+  claims exactly that bound.
+* From inputs whose coefficients carry degraded precisions, every claim
+  of the flat model must survive random lifts of the unknown digits,
+  recomputed at many more digits.  The reference is run through the
+  same check to show that the check detects its overstated precisions.
+"""
+
+import random
+
+import pytest
+
+from k0_reference import RefField, RefK0Element
+from wittscaffold.errors import (
+    DivisionByIndeterminateZero,
+    IndeterminateValuation,
+    PrecisionExhausted,
+)
+from wittscaffold.padic import BaseField, K0Element, PadicInt
+
+# (p, e0, Eisenstein unit, prec_digits, chains, chain length);
+# 20,000 ops in total
+FULL_CASES = [
+    (2, 4, 1, 12, 700, 10),
+    (3, 6, 1, 8, 500, 10),
+    (3, 22, 1, 4, 150, 10),
+    (5, 7, 1, 6, 450, 10),
+    (3, 5, 2, 8, 200, 10),
+]
+# (p, e0, prec_digits, chains, chain length); 9,000 ops in total
+DEGRADED_CASES = [
+    (2, 4, 12, 250, 9),
+    (3, 6, 8, 250, 9),
+    (3, 22, 4, 125, 18),
+    (5, 7, 6, 250, 9),
+]
+FINE_DIGITS = 80
+OPS = "++--***/"
+FAILURES = (IndeterminateValuation, DivisionByIndeterminateZero, PrecisionExhausted)
+
+
+def _apply(op, x, y):
+    """One chain step; a raised precision failure is the step's outcome."""
+    try:
+        if op == "+":
+            return x + y
+        if op == "-":
+            return x - y
+        if op == "*":
+            return x * y
+        return x.inverse()
+    except FAILURES as exc:
+        return type(exc)
+
+
+def _run_chain(rng, inputs, length):
+    """Apply ``length`` random ops to a pool seeded with ``inputs``.
+    Returns the plan, one (op, operand indices, slot the result
+    replaced or None) per step, and the step results."""
+    pool = list(inputs)
+    plan = []
+    results = []
+    for _ in range(length):
+        op = rng.choice(OPS)
+        i = rng.randrange(len(pool))
+        j = rng.randrange(len(pool))
+        out = _apply(op, pool[i], pool[j])
+        slot = None
+        if not isinstance(out, type):
+            slot = rng.randrange(len(pool))
+            pool[slot] = out
+        plan.append((op, i, j, slot))
+        results.append(out)
+    return plan, results
+
+
+def _replay(plan, inputs):
+    """Replay a plan on other inputs."""
+    pool = list(inputs)
+    results = []
+    for op, i, j, slot in plan:
+        out = _apply(op, pool[i], pool[j])
+        results.append(out)
+        if slot is not None and not isinstance(out, type):
+            pool[slot] = out
+    return results
+
+
+def _outcome(x):
+    """Everything a caller can observe about an element's value."""
+    if isinstance(x, type):
+        return x
+    try:
+        v = x.valuation()
+    except IndeterminateValuation:
+        v = IndeterminateValuation
+    return v, x.val_floor(), x.precision(), x.is_pristine_zero()
+
+
+def _as_flat(field, x):
+    """An element of either model re-read as a flat element of ``field``."""
+    return K0Element.make(field, x.shift, tuple(
+        PadicInt(field.p, c.digits, c.prec) for c in x.coeffs))
+
+
+def _as_reference(field, x):
+    """A flat element re-read in the per-coefficient model."""
+    return RefK0Element.make(field, x.shift, x.coeffs)
+
+
+def _full_inputs(rng, flat, count=4):
+    p, e0, prec = flat.p, flat.e0, flat.prec_digits
+    xs = []
+    for _ in range(count):
+        shift = rng.randrange(-2 * e0, 2 * e0 + 1)
+        digits = [rng.randrange(p**prec) for _ in range(e0)]
+        if rng.random() < 0.3:
+            digits[0] = p * rng.randrange(p ** (prec - 1))
+        xs.append(K0Element.make(flat, shift, tuple(flat.exact(d) for d in digits)))
+    return xs
+
+
+@pytest.mark.parametrize("p,e0,unit,prec,chains,length", FULL_CASES)
+def test_full_precision_chains_match_reference(p, e0, unit, prec, chains, length):
+    flat = BaseField(p, e0, unit_digits=unit, prec_digits=prec)
+    ref = RefField(p, e0, unit_digits=unit, prec_digits=prec)
+    rng = random.Random(1000 * p + e0)
+    for _ in range(chains):
+        pool = _full_inputs(rng, flat)
+        for _ in range(length):
+            op = rng.choice(OPS)
+            x = pool[rng.randrange(len(pool))]
+            y = pool[rng.randrange(len(pool))]
+            got = _apply(op, x, y)
+            want = _apply(op, _as_reference(ref, x), _as_reference(ref, y))
+            expected = _outcome(want)
+            if op == "/" and not isinstance(want, type):
+                # the reference seeds Newton with digit 0 inverted at
+                # that digit's own precision, which can exceed the
+                # unit's; the flat inverse keeps its input's relative
+                # precision and so may know less
+                v, floor, claimed, pristine = expected
+                sound = x.precision() - 2 * x.valuation()
+                expected = v, floor, min(claimed, sound), pristine
+            assert _outcome(got) == expected, (op, x, y, got, want)
+            if not isinstance(got, type):
+                diff = got - _as_flat(flat, want)
+                assert diff.val_floor() >= got.precision(), (op, x, y, got, want)
+                pool[rng.randrange(len(pool))] = got
+
+
+def _degraded_input(rng, coarse, fine):
+    """A coarse element with per-coefficient precisions, and a random
+    fine lift of it: known digits kept, unknown digits drawn at random."""
+    p, e0, prec = coarse.p, coarse.e0, coarse.prec_digits
+    shift = rng.randrange(-2 * e0, 2 * e0 + 1)
+    coarse_coeffs = []
+    fine_coeffs = []
+    for _ in range(e0):
+        k = prec if rng.random() < 0.5 else rng.randrange(prec + 1)
+        d = rng.randrange(p**k)
+        if rng.random() < 0.3:
+            d = 0
+        coarse_coeffs.append(PadicInt(p, d, k))
+        lift = d + p**k * rng.randrange(p ** (FINE_DIGITS - k))
+        fine_coeffs.append(PadicInt(p, lift, FINE_DIGITS))
+    return shift, tuple(coarse_coeffs), tuple(fine_coeffs)
+
+
+def _unsound(claim, truth, fine):
+    """Whether the coarse ``claim`` contradicts the fine ``truth``."""
+    if isinstance(claim, type):
+        return False
+    if isinstance(truth, type):
+        return True
+    try:
+        v = claim.valuation()
+    except IndeterminateValuation:
+        v = None
+    if v is not None and (truth.is_zero() or truth.valuation() != v):
+        return True
+    return (truth - _as_flat(fine, claim)).val_floor() < claim.precision()
+
+
+def _count_unsound(p, e0, prec, chains, length, use_reference):
+    coarse = (RefField if use_reference else BaseField)(p, e0, prec_digits=prec)
+    maker = RefK0Element if use_reference else K0Element
+    fine = BaseField(p, e0, prec_digits=FINE_DIGITS)
+    rng = random.Random(2000 * p + e0)
+    unsound = 0
+    for _ in range(chains):
+        xs, lifts = [], []
+        for _ in range(4):
+            shift, cc, fc = _degraded_input(rng, coarse, fine)
+            xs.append(maker.make(coarse, shift, cc))
+            lifts.append(K0Element.make(fine, shift, fc))
+        plan, claims = _run_chain(rng, xs, length)
+        truths = _replay(plan, lifts)
+        for claim, truth in zip(claims, truths):
+            unsound += _unsound(claim, truth, fine)
+    return unsound
+
+
+@pytest.mark.parametrize("p,e0,prec,chains,length", DEGRADED_CASES)
+def test_degraded_precision_claims_are_sound(p, e0, prec, chains, length):
+    assert _count_unsound(p, e0, prec, chains, length, use_reference=False) == 0
+
+
+def test_soundness_check_catches_reference_overstatement():
+    # the per-coefficient model normalizes by digits that lie past its
+    # own precision; the lift check above must notice that
+    p, e0, prec, chains, length = DEGRADED_CASES[1]
+    assert _count_unsound(p, e0, prec, chains, length, use_reference=True) > 0

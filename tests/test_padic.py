@@ -7,7 +7,7 @@ from wittscaffold.errors import (
     IndeterminateValuation,
     MembershipUndecided,
 )
-from wittscaffold.padic import BaseField, PadicInt, wp_membership_guard
+from wittscaffold.padic import BaseField, K0Element, PadicInt, wp_membership_guard
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +182,39 @@ def _reembed(x, target_field):
         PadicInt(target_field.p, c.digits, c.prec) for c in x.coeffs
     )
     return K0Element.make(target_field, x.shift, coeffs)
+
+
+class TestPrecisionSoundness:
+    def test_sum_with_low_precision_zero_keeps_its_precision(self):
+        # b is a zero known only modulo pi0^-1: the sum cannot know more,
+        # however deep the digits of a lie
+        f = BaseField(2, 4, prec_digits=6)
+        a = f.monomial(PadicInt(2, 4, 6), 6)
+        b = f.monomial(PadicInt(2, 4, 1), -5)
+        assert b.is_zero() and b.precision() == -1
+        s = a + b
+        assert s.precision() == -1
+        assert s.val_floor() == -1
+        with pytest.raises(IndeterminateValuation):
+            s.valuation()
+
+    def test_inverse_keeps_relative_precision(self, field):
+        # (1 + pi0) - 1 = pi0 + O(pi0^120): relative precision 119, so
+        # its inverse pi0^-1 is known modulo pi0^118 and no further
+        x = (field.one() + field.pi0()) - field.one()
+        assert (x.valuation(), x.precision()) == (1, 120)
+        inv = x.inverse()
+        assert inv.valuation() == -1
+        assert inv.precision() == 118
+        assert (inv * x).precision() == 119
+
+    def test_digits_reduced_to_one_absolute_precision(self, field):
+        x = K0Element.make(field, 0, (field.exact(5),) + tuple(
+            PadicInt(3, 3**5 - 1, 1) for _ in range(5)))
+        # the least coefficient precision is 6*1 + 1 = 7
+        assert x.precision() == 7
+        assert [c.prec for c in x.coeffs] == [2, 1, 1, 1, 1, 1]
+        assert x.digits == (5, 2, 2, 2, 2, 2)
 
 
 class TestMembershipGuard:
