@@ -1,0 +1,40 @@
+"""Byte-stability of the JSON reports.
+
+The stored files under ``tests/data/`` are the ``analyze --json`` and
+``audit --json --sample 20 --seed 1`` outputs of the code before the
+scaffold operators became group-ring elements.  Any change of
+representation must reproduce them byte for byte.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from wittscaffold.cli import EXIT_OK, main
+
+DATA = Path(__file__).parent / "data"
+
+CONFIGS = {
+    # the worked example of the paper
+    "golden": "p = 3\ne0 = 6\na1 = pi0^-1\nmu = pi0^-1\n",
+    # the smallest non-free p = 3 case
+    "deep": "p = 3\ne0 = 22\na1 = pi0^-5\nmu = pi0^-5\n",
+    "p2": "p = 2\ne0 = 4\na1 = pi0^-1\nmu = pi0^-1\n",
+}
+
+RUNS = [
+    ("analyze_golden.json", "golden", ["analyze"]),
+    ("analyze_deep.json", "deep", ["analyze"]),
+    ("analyze_p2.json", "p2", ["analyze"]),
+    ("audit_golden_s1.json", "golden", ["audit", "--sample", "20", "--seed", "1"]),
+    ("audit_p2_s1.json", "p2", ["audit", "--sample", "20", "--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("stored, config, args", RUNS,
+                         ids=[r[0].removesuffix(".json") for r in RUNS])
+def test_report_is_byte_identical(stored, config, args, tmp_path, capsys):
+    cfg = tmp_path / f"{config}.cfg"
+    cfg.write_text(CONFIGS[config])
+    assert main([*args, "--config", str(cfg), "--json"]) == EXIT_OK
+    assert capsys.readouterr().out == (DATA / stored).read_text()
