@@ -28,7 +28,7 @@ from .errors import (
 )
 from .galois import (
     Automorphism,
-    GroupAlgebraOp,
+    GroupRingElement,
     compute_sigma1,
     compute_sigma2,
     cyclic_group,
@@ -54,6 +54,6 @@ from .tower import (
     trace_to_base,
     uniformizer_k2,
 )
-from .witt import WittVector2, artin_schreier, d_poly, frobenius, witt_add, witt_neg
+from .witt import WittVector2, d_poly
 
 __version__ = "0.1.0"

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from .errors import IndeterminateValuation
 from .galois import (
     Automorphism,
-    OpPower,
-    identity_automorphism,
+    GroupRingElement,
+    automorphism_power,
     scaffold_index_digits,
 )
 from .structure import psi_power
-from .tower import ExtensionDesc, K2Element, scaffold_lambda, trace_sum
+from .tower import ExtensionDesc, K2Element, scaffold_lambda
 
 
 @dataclass
@@ -105,9 +105,7 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckR
     add("subgroup-shift-bound", delta.val_floor() >= delta_bound,
         f"v2(delta) >= {delta.val_floor()}, bound {delta_bound}")
 
-    top = s1
-    for _ in range(p2 - 1):
-        top = s1.compose(top)
+    top = automorphism_power(s1, p2)
     order_ok = ((top.image_x1 - x1).vanishes() and (top.image_x2 - x2).vanishes())
     add("generator-order", order_ok,
         f"sigma1^{p2} fixes both generators to the working target")
@@ -120,27 +118,22 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckR
         f"sigma1(x1, x2) = (x1, x2) (+) (1, 0) mod the maximal ideal; "
         f"floors {wc1.val_floor()}, {wc2.val_floor()}")
 
+    words = [psi_power(a, psi1, psi2, p) for a in range(p2)]
     ok = True
     detail = ""
     for n in range(max(0, samples)):
         t = b2 + p2 * rng.randrange(-2, 3)
-        alpha = element_with_valuation(desc, rng, t)
-        cur_j = alpha
+        images = psi1.orbit(element_with_valuation(desc, rng, t))
         for j in range(p):
-            cur = cur_j
             for i in range(p):
-                v = cur.valuation()
+                v = words[i + p * j].on_orbit(images).valuation()
                 want = t + j * b2 + i * p * b1
                 if v != want:
                     ok = False
                     detail = f"sample {n}: (i,j)=({i},{j}) gave {v}, want {want}"
                     break
-                if i + 1 < p:
-                    cur = psi1(cur)
             if not ok:
                 break
-            if j + 1 < p:
-                cur_j = psi2(cur_j)
         if not ok:
             break
     add("shift-law-samples", ok,
@@ -177,7 +170,11 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckR
     detail = ""
     for n in range(max(0, samples)):
         x = element_with_valuation(desc, rng, rng.randrange(-p2, p2))
-        img = OpPower(psi2, p)(x)
+        # p successive applications, not the ring power psi2^p: that
+        # would reduce T^(p^2) to 1 instead of testing the lifted sigma2
+        img = x
+        for _ in range(p):
+            img = psi2(img)
         if img.val_floor() < p2 * e0 + x.valuation():
             ok = False
             detail = (f"sample {n}: floor {img.val_floor()} < "
@@ -187,7 +184,9 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckR
         detail or f"v2(psi2^p x) >= p^2 e0 + v2(x) on {samples} samples")
 
     rho = ctx.rho
-    lhs = OpPower(psi1, p)(rho)
+    lhs = rho
+    for _ in range(p):
+        lhs = psi1(lhs)
     diff = lhs - psi2(rho)
     mod = p2 * e0 + p * b1 - (p - 1) * b2
     add("psi1-pth-power-congruence", diff.val_floor() >= mod,
@@ -200,15 +199,14 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckR
         add("psi1-pth-power-valuation", v == 2 * b2,
             f"v2(psi1^p rho) = {v}, expected {2 * b2}")
 
-    sub = [identity_automorphism(desc)]
-    for _ in range(p - 1):
-        sub.append(s2.compose(sub[-1]))
-    tr = trace_sum(delta, sub)
+    one = desc.base.one()
+    sub_trace = GroupRingElement(s1, s2, {p * j: one for j in range(p)})
+    trace = GroupRingElement(s1, s2, {k: one for k in range(p2)})
+    tr = sub_trace(delta)
     add("trace-of-shift-error", (tr + p).vanishes(),
         "Tr over the subextension of delta equals -p to the working target")
 
-    autos = ctx.group
-    tr_one = trace_sum(desc.one(), autos)
+    tr_one = trace(desc.one())
     add("trace-of-one", (tr_one - p2).vanishes(), f"full trace of 1 is p^2 = {p2}")
 
     depth = ctx.rd.depth
@@ -216,7 +214,7 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckR
     detail = ""
     for n in range(max(0, samples)):
         y = element_with_valuation(desc, rng, rng.randrange(-p2, p2))
-        t = trace_sum(y, autos)
+        t = trace(y)
         if t.val_floor() - y.valuation() < depth:
             ok = False
             detail = (f"sample {n}: v2(Tr y) - v2(y) = "
@@ -295,7 +293,9 @@ def structure_invariant_suite(ctx, rng: random.Random,
         f"{grid.pairs} pairs at modulus {grid.modulus}; "
         + ("all hold" if grid.passed else "; ".join(grid.failures[:4])))
 
-    images = [psi_power(a, ctx.psi1, ctx.psi2, p)(ctx.rho) for a in range(p2)]
+    orbit = ctx.psi1.orbit(ctx.rho)
+    images = [psi_power(a, ctx.psi1, ctx.psi2, p).on_orbit(orbit)
+              for a in range(p2)]
     add("normal-basis-rank", normal_basis_certificate(desc, images),
         "the p^2 operator images of rho are K0-linearly independent")
 

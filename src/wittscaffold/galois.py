@@ -2,10 +2,11 @@
 
 The generator sigma1 is produced by Hensel-lifting the defining
 Artin-Schreier equations from the seeds x1 + 1 and x2 + D(x1, 1); its
-p-th power fixes K1 and shifts x2 by 1 + (small).  Group-algebra
-operators (the scaffold operators psi1, psi2 among them) are kept as
-small expression trees over {automorphism, scale, add, compose} and
-evaluated structurally on K2 elements.
+p-th power fixes K1 and shifts x2 by 1 + (small).  Operators such as
+the scaffold operators psi1, psi2 are elements sum_k c_k T^k of the
+group ring K0[T]/(T^(p^2) - 1) with T = sigma1.  Words in them are ring
+products, computed once; applying any of them to x reads the orbit
+T^k x, built lazily and shared by every element applied to the same x.
 """
 
 from __future__ import annotations
@@ -165,90 +166,106 @@ def compute_sigma2(ext: ExtensionDesc, sigma1: Automorphism,
     return direct
 
 
-# -- group algebra operators -----------------------------------------
+# -- the group ring ----------------------------------------------------
 
 
-class GroupAlgebraOp:
-    """A formal K0[G] element, evaluated structurally on K2 elements."""
+class GroupRingElement:
+    """An element sum_k c_k T^k of K0[G] = K0[T]/(T^(p^2) - 1), where
+    T = sigma1 and T^p acts through the directly lifted sigma2.
+
+    ``coeffs`` maps exponents 0 <= k < p^2 to K0 coefficients; an absent
+    exponent has coefficient zero, and structural zeros are dropped.
+    Applying the element to x builds only the orbit images T^k x at
+    exponents that carry a coefficient (see :meth:`orbit`).
+    """
+
+    __slots__ = ("sigma1", "sigma2", "coeffs")
+
+    def __init__(self, sigma1: Automorphism, sigma2: Automorphism,
+                 coeffs: dict[int, K0Element]):
+        self.sigma1 = sigma1
+        self.sigma2 = sigma2
+        self.coeffs = {k: c for k, c in coeffs.items()
+                       if not c.is_pristine_zero()}
+
+    @classmethod
+    def generator_power(cls, sigma1: Automorphism, sigma2: Automorphism,
+                        k: int) -> "GroupRingElement":
+        """T^k."""
+        ext = sigma1.ext
+        return cls(sigma1, sigma2, {k % ext.degree(): ext.base.one()})
+
+    def _like(self, coeffs) -> "GroupRingElement":
+        return GroupRingElement(self.sigma1, self.sigma2, coeffs)
+
+    def zero(self) -> "GroupRingElement":
+        return self._like({})
+
+    def one(self) -> "GroupRingElement":
+        return self._like({0: self.sigma1.ext.base.one()})
+
+    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        coeffs = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            coeffs[k] = coeffs[k] + c if k in coeffs else c
+        return self._like(coeffs)
+
+    def __neg__(self) -> "GroupRingElement":
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+        return self + (-other)
+
+    def __mul__(self, other) -> "GroupRingElement":
+        """The ring product, or scaling by an int or K0 element."""
+        if not isinstance(other, GroupRingElement):
+            return self._like({k: c * other for k, c in self.coeffs.items()})
+        n = self.sigma1.ext.degree()
+        coeffs: dict[int, K0Element] = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                k = (i + j) % n
+                coeffs[k] = coeffs[k] + a * b if k in coeffs else a * b
+        return self._like(coeffs)
+
+    def __pow__(self, n: int) -> "GroupRingElement":
+        if n < 0:
+            raise ValueError("group ring powers must be nonnegative")
+        result = self.one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def orbit(self, x: K2Element):
+        """The images T^k x as a function of k, each built once, on first
+        request: T^k x = sigma1(T^(k-1) x) for 0 < k < p and
+        sigma2(T^(k-p) x) for k >= p.  Elements applied through one orbit
+        (see :meth:`on_orbit`) share its images."""
+        p = self.sigma1.ext.p
+        images = {0: x}
+
+        def image(k: int) -> K2Element:
+            y = images.get(k)
+            if y is None:
+                if k < p:
+                    y = self.sigma1.apply(image(k - 1))
+                else:
+                    y = self.sigma2.apply(image(k - p))
+                images[k] = y
+            return y
+
+        return image
+
+    def on_orbit(self, image) -> K2Element:
+        """sum_k c_k T^k x, with T^k x read from ``image = orbit(x)``."""
+        acc = None
+        for k, c in self.coeffs.items():
+            term = image(k).scale(c)
+            acc = term if acc is None else acc + term
+        return acc if acc is not None else self.sigma1.ext.zero()
 
     def __call__(self, x: K2Element) -> K2Element:
-        raise NotImplementedError
-
-    def __add__(self, other):
-        return OpSum((self, other))
-
-    def __sub__(self, other):
-        return OpSum((self, OpScale(-1, other)))
-
-    def __rmul__(self, c):
-        return OpScale(c, self)
-
-    def __matmul__(self, other):
-        return OpCompose(self, other)
-
-    def __pow__(self, n: int):
-        return OpPower(self, n)
-
-
-class OpIdentity(GroupAlgebraOp):
-    def __call__(self, x):
-        return x
-
-
-class OpZero(GroupAlgebraOp):
-    def __call__(self, x):
-        return x.ext.zero()
-
-
-class OpAuto(GroupAlgebraOp):
-    def __init__(self, auto: Automorphism):
-        self.auto = auto
-
-    def __call__(self, x):
-        return self.auto.apply(x)
-
-
-class OpScale(GroupAlgebraOp):
-    def __init__(self, c, inner: GroupAlgebraOp):
-        self.c = c
-        self.inner = inner
-
-    def __call__(self, x):
-        return self.inner(x).scale(self.c)
-
-
-class OpSum(GroupAlgebraOp):
-    def __init__(self, terms):
-        self.terms = tuple(terms)
-
-    def __call__(self, x):
-        acc = None
-        for t in self.terms:
-            v = t(x)
-            acc = v if acc is None else acc + v
-        return acc
-
-
-class OpCompose(GroupAlgebraOp):
-    def __init__(self, outer: GroupAlgebraOp, inner: GroupAlgebraOp):
-        self.outer = outer
-        self.inner = inner
-
-    def __call__(self, x):
-        return self.outer(self.inner(x))
-
-
-class OpPower(GroupAlgebraOp):
-    def __init__(self, inner: GroupAlgebraOp, n: int):
-        if n < 0:
-            raise ValueError("operator powers must be nonnegative")
-        self.inner = inner
-        self.n = n
-
-    def __call__(self, x):
-        for _ in range(self.n):
-            x = self.inner(x)
-        return x
+        return self.on_orbit(self.orbit(x))
 
 
 def k0_binomial(y: K0Element, i: int) -> K0Element:
@@ -265,39 +282,27 @@ def k0_binomial(y: K0Element, i: int) -> K0Element:
     return acc
 
 
-def truncated_exp(base_auto: Automorphism, y: K0Element) -> GroupAlgebraOp:
-    """Truncated exponentiation (1 + (auto - 1))^[y]: the binomial series
-    sum_{i<p} C(y,i) (auto - 1)^i."""
-    p = base_auto.ext.p
-    delta = OpAuto(base_auto) - OpIdentity()
-    terms = [OpIdentity()]
-    for i in range(1, p):
-        terms.append(OpScale(k0_binomial(y, i), OpPower(delta, i)))
-    return OpSum(terms)
+def truncated_exp(g: GroupRingElement, y: K0Element) -> GroupRingElement:
+    """Truncated exponentiation g^[y] = (1 + (g - 1))^[y]: the binomial
+    series sum_{i<p} C(y,i) (g - 1)^i."""
+    delta = g - g.one()
+    term = g.one()
+    acc = term
+    for i in range(1, g.sigma1.ext.p):
+        term = term * delta
+        acc = acc + term * k0_binomial(y, i)
+    return acc
 
 
 def psi_operators(ext: ExtensionDesc, sigma1: Automorphism,
-                  sigma2: Automorphism) -> tuple[GroupAlgebraOp, GroupAlgebraOp]:
-    """The scaffold operators: psi1 + 1 = sigma1 * sigma2^[mu] and
-    psi2 = sigma2 - 1.  Both kill K0 constants."""
-    psi1 = OpCompose(OpAuto(sigma1), truncated_exp(sigma2, ext.mu)) - OpIdentity()
-    psi2 = OpAuto(sigma2) - OpIdentity()
+                  sigma2: Automorphism) -> tuple[GroupRingElement, GroupRingElement]:
+    """The scaffold operators: psi1 + 1 = T * (T^p)^[mu] and
+    psi2 = T^p - 1, with T = sigma1.  Both kill K0 constants."""
+    t = GroupRingElement.generator_power(sigma1, sigma2, 1)
+    tp = GroupRingElement.generator_power(sigma1, sigma2, ext.p)
+    psi1 = t * truncated_exp(tp, ext.mu) - t.one()
+    psi2 = tp - t.one()
     return psi1, psi2
-
-
-def operator_matrix(op: GroupAlgebraOp, ext: ExtensionDesc) -> list[list[K0Element]]:
-    """Materialize an operator as the p^2 x p^2 matrix of its action on
-    the x1^i x2^j basis; column (i*p + j) is the image of x1^i x2^j."""
-    p = ext.p
-    n = p * p
-    cols = []
-    for i in range(p):
-        for j in range(p):
-            rows = ext._empty_rows()
-            rows[i][j] = ext.base.one()
-            img = op(K2Element(ext, rows))
-            cols.append([img.rows[a][b] for a in range(p) for b in range(p)])
-    return [[cols[c][r] for c in range(n)] for r in range(n)]
 
 
 def scaffold_index(ext: ExtensionDesc, t: int) -> int:

@@ -22,10 +22,9 @@ from .construction import (
 )
 from .galois import (
     Automorphism,
-    GroupAlgebraOp,
+    GroupRingElement,
     compute_sigma1,
     compute_sigma2,
-    cyclic_group,
     psi_operators,
 )
 from .structure import (
@@ -85,9 +84,8 @@ class AnalysisContext:
     bound: FreenessBound
     sigma1: Automorphism
     sigma2: Automorphism
-    group: list[Automorphism]
-    psi1: GroupAlgebraOp
-    psi2: GroupAlgebraOp
+    psi1: GroupRingElement
+    psi2: GroupRingElement
     tables: ScaffoldTables
     rho0: K2Element
     rho0_exponents: tuple[int, int, int]
@@ -135,7 +133,6 @@ def build_context(config: JobConfig, guard_digits: int = 16,
         bound=bound,
         sigma1=sigma1,
         sigma2=sigma2,
-        group=cyclic_group(sigma1),
         psi1=psi1,
         psi2=psi2,
         tables=tables,

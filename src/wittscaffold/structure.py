@@ -17,7 +17,7 @@ from .errors import (
     InternalDisagreement,
     InvariantViolation,
 )
-from .galois import GroupAlgebraOp, OpCompose, OpPower, OpZero
+from .galois import GroupRingElement
 from .tower import ExtensionDesc, K2Element
 
 
@@ -86,16 +86,16 @@ def build_tables(rd: RamificationData) -> ScaffoldTables:
     return tables
 
 
-def psi_power(a: int, psi1: GroupAlgebraOp, psi2: GroupAlgebraOp,
-              p: int) -> GroupAlgebraOp:
+def psi_power(a: int, psi1: GroupRingElement, psi2: GroupRingElement,
+              p: int) -> GroupRingElement:
     """The operator word psi2^(a1) psi1^(a0) indexed by the base-p digits
-    of a; the zero operator for a >= p^2."""
+    of a, as a ring product; the zero element for a >= p^2."""
     if a < 0:
         raise ValueError("index must be nonnegative")
     if a >= p * p:
-        return OpZero()
+        return psi1.zero()
     a0, a1 = a % p, a // p
-    return OpCompose(OpPower(psi2, a1), OpPower(psi1, a0))
+    return psi2**a1 * psi1**a0
 
 
 def basis_op_label(tables: ScaffoldTables, j: int) -> str:
@@ -120,8 +120,8 @@ def basis_op_label(tables: ScaffoldTables, j: int) -> str:
 def rho_family(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
-    psi1: GroupAlgebraOp,
-    psi2: GroupAlgebraOp,
+    psi1: GroupRingElement,
+    psi2: GroupRingElement,
     rho0: K2Element,
     check: bool = True,
 ) -> tuple[K2Element, list[K2Element]]:
@@ -135,11 +135,9 @@ def rho_family(
             f"v2(rho0) = {rho0.valuation()}, expected r(b2) = {tables.r_b2}"
         )
     rho = rho0.scale(desc.base.pi0(tables.d0))
-    rhos = []
-    for a in range(p2):
-        word = psi_power(a, psi1, psi2, p)
-        el = word(rho).scale(desc.base.pi0(-tables.d[a]))
-        rhos.append(el)
+    images = psi1.orbit(rho)
+    rhos = [psi_power(a, psi1, psi2, p).on_orbit(images)
+            .scale(desc.base.pi0(-tables.d[a])) for a in range(p2)]
     if check:
         vals = [el.valuation() for el in rhos]
         expected = [tables.b_map[a] % p2 for a in range(p2)]
@@ -180,8 +178,8 @@ class ModuleStructureReport:
 def associated_order_and_freeness(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
-    psi1: GroupAlgebraOp,
-    psi2: GroupAlgebraOp,
+    psi1: GroupRingElement,
+    psi2: GroupRingElement,
     rho0: K2Element,
     bound: FreenessBound,
 ) -> ModuleStructureReport:
@@ -200,11 +198,9 @@ def associated_order_and_freeness(
     p2 = p * p
     route1 = (p2 - 1) % tables.r_b2 == 0
     route2 = all(tables.w[j] == tables.d[j] - tables.d0 for j in range(p2))
-    vals = []
-    for j in range(p2):
-        word = psi_power(j, psi1, psi2, p)
-        el = word(rho0).scale(desc.base.pi0(-tables.w[j]))
-        vals.append(el.valuation())
+    images = psi1.orbit(rho0)
+    vals = [psi_power(j, psi1, psi2, p).on_orbit(images)
+            .scale(desc.base.pi0(-tables.w[j])).valuation() for j in range(p2)]
     route3 = sorted(vals) == list(range(p2))
     if not (route1 == route2 == route3):
         raise InternalDisagreement(
@@ -245,8 +241,8 @@ class CongruenceAuditReport:
 def congruence_audit(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
-    psi1: GroupAlgebraOp,
-    psi2: GroupAlgebraOp,
+    psi1: GroupRingElement,
+    psi2: GroupRingElement,
     rho: K2Element,
     rhos: list[K2Element],
 ) -> CongruenceAuditReport:
@@ -267,11 +263,12 @@ def congruence_audit(
     modulus = p2 * e0 - p * b2 - (p2 - p + 1) * b1
     d, w, d0 = tables.d, tables.w, tables.d0
     failures: list[str] = []
+    orbits = [psi1.orbit(el) for el in rhos]
     for j in range(p2):
         word = psi_power(j, psi1, psi2, p)
         j0, j1 = tables.digits(j)
         for r in range(p2):
-            x = word(rhos[r])
+            x = word.on_orbit(orbits[r])
             r0, r1 = tables.digits(r)
             carry_free = (j0 + r0 < p) and (j1 + r1 < p)
             if j + r < p2:

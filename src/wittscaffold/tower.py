@@ -502,9 +502,12 @@ def _invert_unit(x: K2Element) -> K2Element:
     z = ext.from_k0(y00.inverse())
     one = ext.one()
     r = one - x * z
-    for _ in range(64):
+    for step in range(64):
         if r.is_zero():
-            return z
+            # the seed 1/y00 sees one coefficient of x only; a Newton
+            # step caps it at the precision of all of x, as later
+            # iterates already are
+            return z + z * r if step == 0 else z
         z = z + z * r
         r = one - x * z
     raise PrecisionExhausted("unit inversion did not stabilize")

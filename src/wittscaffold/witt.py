@@ -58,18 +58,3 @@ class WittVector2:
         """Frobenius minus identity (Witt vector subtraction)."""
         return self.frobenius() - self
 
-
-def witt_add(a: WittVector2, b: WittVector2) -> WittVector2:
-    return a + b
-
-
-def witt_neg(a: WittVector2) -> WittVector2:
-    return -a
-
-
-def frobenius(a: WittVector2) -> WittVector2:
-    return a.frobenius()
-
-
-def artin_schreier(a: WittVector2) -> WittVector2:
-    return a.artin_schreier()

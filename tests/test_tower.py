@@ -217,3 +217,20 @@ class TestPrecisionTracking:
             ]
             re_embedded = K2Element(fine, rows)
             assert (zf - re_embedded).val_floor() >= zc.precision()
+
+    def test_unit_inverse_keeps_relative_precision(self, ext):
+        # x = 1 + O*x1 with O a zero known only modulo pi0: x is known to
+        # v2-precision 9 - 3 = 6, and so is no inverse of it.  The lift
+        # 1 + pi0*x1 agrees with x, yet its inverse differs from 1 at 6.
+        from wittscaffold.padic import K0Element
+        from wittscaffold.tower import _invert_unit
+
+        f = ext.base
+        rough_zero = K0Element(f, 0, f._zeros, 1)
+        x = ext.one() + ext.x1().scale(rough_zero)
+        assert x.precision() == 6
+        inv = _invert_unit(x)
+        assert inv.precision() <= x.precision()
+        lift_inv = _invert_unit(ext.one() + ext.x1().scale(f.pi0()))
+        assert (lift_inv - ext.one()).valuation() == 6
+        assert (inv - lift_inv).val_floor() >= inv.precision()
