@@ -21,7 +21,6 @@ from .errors import (
     InvariantViolation,
     MembershipUndecided,
     NoConvergence,
-    NotInBaseField,
     PrecisionExhausted,
     ScaffoldError,
     ValidationFailure,
@@ -31,11 +30,10 @@ from .galois import (
     GroupRingElement,
     compute_sigma1,
     compute_sigma2,
-    cyclic_group,
     psi_operators,
     truncated_exp,
 )
-from .padic import BaseField, K0Element, PadicInt, wp_membership_guard
+from .padic import BaseField, K0Element, wp_membership_guard
 from .pipeline import AnalysisContext, JobConfig, build_context
 from .structure import (
     ModuleStructureReport,
@@ -50,8 +48,6 @@ from .tower import (
     K2Element,
     hensel_lift,
     scaffold_lambda,
-    trace_sum,
-    trace_to_base,
     uniformizer_k2,
 )
 from .witt import WittVector2, d_poly

@@ -126,8 +126,8 @@ class RamificationData:
     depth: int            # v2-normalized depth of ramification of K2/K0
     different_val: int    # v2 of the different of K2/K0
     precision_c: int      # scaffold shift-law precision
-    residue_b: int        # common residue class of b1, b2 modulo p^2
-    r_b2: int             # least nonnegative residue of b2 modulo p^2
+    r_b2: int             # least nonnegative residue of b2 modulo p^2,
+                          # the common residue class of b1 and b2
 
     def as_dict(self):
         return {
@@ -139,9 +139,17 @@ class RamificationData:
             "depth_v2": self.depth,
             "different_v2": self.different_val,
             "precision_c": self.precision_c,
-            "residue_b": self.residue_b,
+            "residue_b": self.r_b2,
             "r_b2": self.r_b2,
         }
+
+
+def _depth_and_cap(p: int, e0: int, b1: int, b2: int) -> tuple[int, Fraction]:
+    """The v2-depth of ramification of K2/K0 and the cap
+    (p^2+1)/(p^2+p) * p^2*e0 that it must stay below."""
+    p2 = p * p
+    depth = (p - 1) * b2 + p * (p - 1) * b1
+    return depth, Fraction(p2 + 1, p2 + p) * (p2 * e0)
 
 
 def ramification_data(desc: ExtensionDesc) -> RamificationData:
@@ -161,8 +169,7 @@ def ramification_data(desc: ExtensionDesc) -> RamificationData:
         raise InvariantViolation(
             f"upper break mismatch: conversion gives {u2}, v0(a2) gives {u2_from_a2}"
         )
-    depth = (p - 1) * b2 + p * (p - 1) * b1
-    depth_cap = Fraction(p2 + 1, p2 + p) * (p2 * e0)
+    depth, depth_cap = _depth_and_cap(p, e0, b1, b2)
     if not depth < depth_cap:
         raise InvariantViolation(
             f"depth {depth} is not below its bound {depth_cap}"
@@ -181,7 +188,6 @@ def ramification_data(desc: ExtensionDesc) -> RamificationData:
         depth=depth,
         different_val=depth + p2 - 1,
         precision_c=c,
-        residue_b=b2 % p2,
         r_b2=b2 % p2,
     )
 
@@ -250,7 +256,9 @@ def construct_extension(
 ) -> tuple[ExtensionDesc, list[ValidationReport]]:
     """Build a validated extension from monomial data c * pi0^k for a1
     and mu.  Raises ValidationFailure carrying the reports when a bound
-    fails."""
+    fails, or when the depth of ramification reaches its cap: the choice
+    bounds do not imply the cap, so it is checked here as one more named
+    hypothesis, reported only when it fails."""
     if target_v2 is None:
         target_v2 = 2 * p * p * e0
     prec = default_prec_digits(p, e0, target_v2, guard_digits)
@@ -268,4 +276,14 @@ def construct_extension(
             "parameter choices rejected: " + "; ".join(failed), reports
         )
     desc = ExtensionDesc(base, a1, mu, target_v2=target_v2)
+    depth, cap = _depth_and_cap(p, e0, desc.b1, desc.b2)
+    if not depth < cap:
+        rep = ValidationReport("ramification")
+        rep.add("depth-below-cap", False,
+                f"(p-1)*b2 + p*(p-1)*b1 = {depth} < {cap} = "
+                f"(p^2+1)/(p^2+p)*p^2*e0")
+        raise ValidationFailure(
+            f"parameter choices rejected: {rep.subject}: depth-below-cap",
+            reports + [rep],
+        )
     return desc, reports

@@ -25,10 +25,6 @@ class PrecisionExhausted(ScaffoldError):
     """Working precision ran out before the requested target was reached."""
 
 
-class NotInBaseField(ScaffoldError):
-    """An element expected to lie in the base field does not."""
-
-
 class InvariantViolation(ScaffoldError):
     """A structural identity that must hold numerically failed."""
 

@@ -77,14 +77,6 @@ def automorphism_power(auto: Automorphism, n: int) -> Automorphism:
     return result
 
 
-def cyclic_group(sigma1: Automorphism) -> list[Automorphism]:
-    """All p^2 powers of sigma1, identity first."""
-    autos = [identity_automorphism(sigma1.ext)]
-    for _ in range(sigma1.ext.degree() - 1):
-        autos.append(sigma1.compose(autos[-1]))
-    return autos
-
-
 def verify_automorphism(auto: Automorphism) -> None:
     """Check that the images satisfy both defining Artin-Schreier
     relations to the working target; raises InvariantViolation."""
@@ -278,7 +270,7 @@ def k0_binomial(y: K0Element, i: int) -> K0Element:
     for t in range(i):
         acc = acc * (y - t)
     if i >= 2:
-        acc = acc * field.scalar(field.exact(factorial(i)).unit_inverse())
+        acc = acc * field.from_int(factorial(i)).inverse()
     return acc
 
 

@@ -1,14 +1,14 @@
-"""Exact arithmetic in Z_p and in totally ramified base fields Q_p(pi0).
+"""Exact arithmetic in totally ramified base fields Q_p(pi0).
 
-Scalars are elements of Z_p stored as big integers modulo p^N with a
-tracked absolute precision N (``PadicInt``).  Field elements of
-K0 = Q_p(pi0), where pi0^e0 = p * unit is Eisenstein, are stored as
+``K0Element`` is the package's one p-adic number type; integers enter
+as ``BaseField.from_int``.  Elements of K0 = Q_p(pi0), where
+pi0^e0 = p * unit is Eisenstein, are stored as
 
     pi0^shift * (d_0 + d_1*pi0 + ... + d_{e0-1}*pi0^{e0-1}) + O(pi0^N)
 
 with e0 plain nonnegative ints d_i and one absolute pi0-precision N per
-element (``K0Element``), the capped-absolute model of Caruso, Roe and
-Vaccon, "Tracking p-adic precision" (ANTS 2014).  Digit i is reduced
+element, the capped-absolute model of Caruso, Roe and Vaccon, "Tracking
+p-adic precision" (ANTS 2014).  Digit i is reduced
 modulo p^ceil((N - shift - i) / e0), so every term it carries is known.
 The explicit pi0-power shift keeps all digit arithmetic integral even
 for elements of negative valuation.
@@ -51,130 +51,6 @@ _neg = int.__neg__
 _mod = int.__mod__
 
 
-class PadicInt:
-    """An element of Z_p known modulo p^prec.
-
-    ``digits`` is the least nonnegative representative; ``prec`` is the
-    absolute precision in p-adic digits.  ``prec == 0`` carries no
-    information.
-    """
-
-    __slots__ = ("p", "digits", "prec")
-
-    def __init__(self, p: int, digits: int, prec: int):
-        self.p = p
-        self.prec = prec if prec > 0 else 0
-        self.digits = digits % _pk(p, self.prec) if self.prec > 0 else 0
-
-    def valuation(self) -> int | None:
-        """Exact p-adic valuation, or None if zero at current precision."""
-        if self.digits == 0:
-            return None
-        v = 0
-        d = self.digits
-        p = self.p
-        while d % p == 0:
-            d //= p
-            v += 1
-        return v
-
-    def is_zero(self) -> bool:
-        return self.digits == 0
-
-    def is_unit(self) -> bool:
-        return self.prec > 0 and self.digits % self.p != 0
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return PadicInt(self.p, self.digits + other, self.prec)
-        if not isinstance(other, PadicInt):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError("mixed primes")
-        n = min(self.prec, other.prec)
-        return PadicInt(self.p, self.digits + other.digits, n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicInt(self.p, -self.digits, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        p = self.p
-        if isinstance(other, int):
-            if other == 0:
-                # exact zero: known modulo everything we could ever use
-                return PadicInt(p, 0, self.prec + self.prec)
-            v = 0
-            o = other
-            while o % p == 0:
-                o //= p
-                v += 1
-            return PadicInt(p, self.digits * other, v + self.prec)
-        if not isinstance(other, PadicInt):
-            return NotImplemented
-        if other.p != p:
-            raise ValueError("mixed primes")
-        va = self.valuation()
-        vb = other.valuation()
-        if va is None:
-            va = self.prec
-        if vb is None:
-            vb = other.prec
-        n = min(va + other.prec, vb + self.prec)
-        return PadicInt(p, self.digits * other.digits, n)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported on PadicInt")
-        result = PadicInt(self.p, 1, self.prec + 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def unit_inverse(self) -> "PadicInt":
-        if not self.is_unit():
-            raise ValueError("not a unit at current precision")
-        inv = pow(self.digits, -1, _pk(self.p, self.prec))
-        return PadicInt(self.p, inv, self.prec)
-
-    def divexact_p(self, k: int) -> "PadicInt":
-        """Divide by p^k.  Requires the known digits to be divisible."""
-        if k == 0:
-            return self
-        if self.prec <= k:
-            return PadicInt(self.p, 0, 0)
-        pk = _pk(self.p, k)
-        if self.digits % pk != 0:
-            raise ValueError("digits not divisible by p^k")
-        return PadicInt(self.p, self.digits // pk, self.prec - k)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = PadicInt(self.p, other, self.prec)
-        if not isinstance(other, PadicInt) or other.p != self.p:
-            return NotImplemented
-        return (self - other).digits == 0
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"PadicInt({self.digits} + O({self.p}^{self.prec}))"
-
-
 class BaseField:
     """Totally ramified base field Q_p(pi0) with pi0^e0 = p * unit."""
 
@@ -200,9 +76,6 @@ class BaseField:
         self._zeros = (0,) * e0
         self._moduli = {}
 
-    def exact(self, n: int) -> PadicInt:
-        return PadicInt(self.p, n, self.prec_digits)
-
     def zero(self) -> "K0Element":
         return self.monomial(0, 0)
 
@@ -215,16 +88,10 @@ class BaseField:
     def pi0(self, k: int = 1) -> "K0Element":
         return self.monomial(1, k)
 
-    def monomial(self, c: int | PadicInt, k: int) -> "K0Element":
-        """The element c * pi0^k; an int c is known to ``prec_digits``."""
-        if isinstance(c, PadicInt):
-            coeffs = (c,) + (self.exact(0),) * (self.e0 - 1)
-            return K0Element.make(self, k, coeffs)
-        return K0Element._build(self, k, [c, *self._zeros[1:]],
-                                k + self.e0 * self.prec_digits)
-
-    def scalar(self, c: PadicInt) -> "K0Element":
-        return self.monomial(c, 0)
+    def monomial(self, c: int, k: int) -> "K0Element":
+        """The element c * pi0^k, with c known to ``prec_digits``."""
+        return K0Element.make(self, k, [c, *self._zeros[1:]],
+                              k + self.e0 * self.prec_digits)
 
     def _digit_moduli(self, m: int) -> tuple:
         """The moduli p^ceil((m - i) / e0), at least 1, of the digits of
@@ -271,17 +138,10 @@ class K0Element:
         self.absprec = absprec
 
     @classmethod
-    def make(cls, field: BaseField, shift: int, coeffs: tuple) -> "K0Element":
-        """Build from per-coefficient Z_p scalars c_i of pi0^(shift+i);
-        the element is known up to the least of their precisions."""
-        e0 = field.e0
-        absprec = shift + min(e0 * c.prec + i for i, c in enumerate(coeffs))
-        return cls._build(field, shift, [c.digits for c in coeffs], absprec)
-
-    @classmethod
-    def _build(cls, field: BaseField, shift: int, digits, absprec: int) -> "K0Element":
-        """Reduce the e0 ``digits`` (any iterable of ints) modulo the
-        precision and normalize."""
+    def make(cls, field: BaseField, shift: int, digits, absprec: int) -> "K0Element":
+        """pi0^shift * sum_i digits[i] * pi0^i + O(pi0^absprec): reduce
+        the e0 ``digits`` (any iterable of ints) modulo the precision and
+        normalize."""
         digits = tuple(map(_mod, digits, field._digit_moduli(absprec - shift)))
         p = field.p
         if digits[0] % p:
@@ -316,18 +176,9 @@ class K0Element:
         ulo = pow(u, -q, m)
         uhi = ulo * pow(u, -1, m)
         out = [d * ulo for d in out[:e0 - r]] + [d * uhi for d in out[e0 - r:]]
-        return cls._build(field, shift + t, out, absprec)
+        return cls.make(field, shift + t, out, absprec)
 
     # -- introspection ------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple:
-        """The digits as Z_p scalars, each at its implied precision."""
-        p = self.field.p
-        e0 = self.field.e0
-        m = self.absprec - self.shift
-        return tuple(PadicInt(p, d, -((i - m) // e0))
-                     for i, d in enumerate(self.digits))
 
     def _val_parts(self):
         """(exact valuation or None, lower bound that always holds)."""
@@ -367,8 +218,6 @@ class K0Element:
     def _coerce(self, other):
         if isinstance(other, int):
             return self.field.from_int(other)
-        if isinstance(other, PadicInt):
-            return self.field.scalar(other)
         return other
 
     def _combine(self, other, op) -> "K0Element":
@@ -390,8 +239,8 @@ class K0Element:
         elif t < 0:
             a = field._raise(a, -t)
             s = other.shift
-        return K0Element._build(field, s, map(op, a, b),
-                                min(self.absprec, other.absprec))
+        return K0Element.make(field, s, map(op, a, b),
+                              min(self.absprec, other.absprec))
 
     def __add__(self, other):
         return self._combine(other, _add)
@@ -399,8 +248,8 @@ class K0Element:
     __radd__ = __add__
 
     def __neg__(self):
-        return K0Element._build(self.field, self.shift,
-                                map(_neg, self.digits), self.absprec)
+        return K0Element.make(self.field, self.shift,
+                              map(_neg, self.digits), self.absprec)
 
     def __sub__(self, other):
         return self._combine(other, _sub)
@@ -446,7 +295,7 @@ class K0Element:
         digits = [(z >> (w * k)) & mask for k in range(e0)]
         # both digit-0 terms are units, so the product is normalized
         # whenever the precision reaches its digit 0
-        return K0Element._build(field, shift, digits, absprec)
+        return K0Element.make(field, shift, digits, absprec)
 
     __rmul__ = __mul__
 
@@ -476,7 +325,7 @@ class K0Element:
         m = self.absprec - self.shift
         u = K0Element(field, 0, self.digits, m)
         z0 = pow(self.digits[0], -1, field._digit_moduli(m)[0])
-        z = K0Element._build(field, 0, [z0, *field._zeros[1:]], m)
+        z = K0Element.make(field, 0, [z0, *field._zeros[1:]], m)
         one = field.one()
         r = one - u * z
         for _ in range(64):
@@ -495,8 +344,7 @@ class K0Element:
         return self._coerce(other) * self.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, (int, PadicInt)):
-            other = self._coerce(other)
+        other = self._coerce(other)
         if not isinstance(other, K0Element):
             return NotImplemented
         return (self - other).is_zero()

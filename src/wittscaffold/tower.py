@@ -21,7 +21,6 @@ from .errors import (
     IndeterminateValuation,
     InvariantViolation,
     NoConvergence,
-    NotInBaseField,
     PrecisionExhausted,
 )
 from .padic import BaseField, K0Element
@@ -360,18 +359,6 @@ class K2Element:
 
     __hash__ = None
 
-    def constant_part(self, noise_floor: int | None = None) -> K0Element:
-        """The element as a K0 scalar; raises if the nonconstant part is
-        visible above the noise floor (the working target by default)."""
-        rows = [list(r) for r in self.rows]
-        rows[0][0] = self.ext._zero
-        rest = K2Element(self.ext, rows)
-        if not rest.vanishes(noise_floor):
-            raise NotInBaseField(
-                "nonconstant coordinates are visible above the noise floor"
-            )
-        return self.rows[0][0]
-
     def __repr__(self):
         terms = []
         for i, row in enumerate(self.rows):
@@ -511,18 +498,3 @@ def _invert_unit(x: K2Element) -> K2Element:
         z = z + z * r
         r = one - x * z
     raise PrecisionExhausted("unit inversion did not stabilize")
-
-
-def trace_sum(x: K2Element, automorphisms) -> K2Element:
-    """Sum of images of x under the given automorphisms."""
-    acc = None
-    for s in automorphisms:
-        img = s.apply(x)
-        acc = img if acc is None else acc + img
-    return acc
-
-
-def trace_to_base(x: K2Element, automorphisms) -> K0Element:
-    """Galois trace down to K0; raises NotInBaseField when the orbit sum
-    has visibly nonconstant coordinates."""
-    return trace_sum(x, automorphisms).constant_part()

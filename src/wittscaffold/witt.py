@@ -2,8 +2,8 @@
 
 The coefficient ring is anything whose elements support ``+``, ``-``,
 ``*`` (including scaling by plain ints) and ``**`` with small nonnegative
-integer exponents: Python ints, ``PadicInt``, ``K0Element`` and
-``K2Element`` all qualify.
+integer exponents: Python ints, ``K0Element`` and ``K2Element`` all
+qualify.
 """
 
 from __future__ import annotations

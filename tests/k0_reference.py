@@ -5,17 +5,168 @@ is a ``PadicInt`` carrying its own precision, sums and products work
 coefficient by coefficient, and ``make`` normalizes by shifting digits
 out of coefficient 0.  ``tests/test_k0_differential.py`` runs it side
 by side with the flat ``K0Element`` of ``wittscaffold.padic``.  The
-classes are kept as they were, renamed so that both can coexist.
+classes are kept as they were, renamed so that both can coexist.  The
+package no longer has a per-coefficient scalar, so this module carries
+its own copy of ``PadicInt``, and the two conversions between the
+models: ``flat_from_coeffs`` and ``coeffs_of``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from wittscaffold.errors import (
     DivisionByIndeterminateZero,
     IndeterminateValuation,
     PrecisionExhausted,
 )
-from wittscaffold.padic import PadicInt
+from wittscaffold.padic import BaseField, K0Element
+
+
+@lru_cache(maxsize=None)
+def _pk(p: int, k: int) -> int:
+    return p**k
+
+
+class PadicInt:
+    """An element of Z_p known modulo p^prec.
+
+    ``digits`` is the least nonnegative representative; ``prec`` is the
+    absolute precision in p-adic digits.  ``prec == 0`` carries no
+    information.
+    """
+
+    __slots__ = ("p", "digits", "prec")
+
+    def __init__(self, p: int, digits: int, prec: int):
+        self.p = p
+        self.prec = prec if prec > 0 else 0
+        self.digits = digits % _pk(p, self.prec) if self.prec > 0 else 0
+
+    def valuation(self) -> int | None:
+        """Exact p-adic valuation, or None if zero at current precision."""
+        if self.digits == 0:
+            return None
+        v = 0
+        d = self.digits
+        p = self.p
+        while d % p == 0:
+            d //= p
+            v += 1
+        return v
+
+    def is_zero(self) -> bool:
+        return self.digits == 0
+
+    def is_unit(self) -> bool:
+        return self.prec > 0 and self.digits % self.p != 0
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return PadicInt(self.p, self.digits + other, self.prec)
+        if not isinstance(other, PadicInt):
+            return NotImplemented
+        if other.p != self.p:
+            raise ValueError("mixed primes")
+        n = min(self.prec, other.prec)
+        return PadicInt(self.p, self.digits + other.digits, n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PadicInt(self.p, -self.digits, self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        p = self.p
+        if isinstance(other, int):
+            if other == 0:
+                # exact zero: known modulo everything we could ever use
+                return PadicInt(p, 0, self.prec + self.prec)
+            v = 0
+            o = other
+            while o % p == 0:
+                o //= p
+                v += 1
+            return PadicInt(p, self.digits * other, v + self.prec)
+        if not isinstance(other, PadicInt):
+            return NotImplemented
+        if other.p != p:
+            raise ValueError("mixed primes")
+        va = self.valuation()
+        vb = other.valuation()
+        if va is None:
+            va = self.prec
+        if vb is None:
+            vb = other.prec
+        n = min(va + other.prec, vb + self.prec)
+        return PadicInt(p, self.digits * other.digits, n)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers not supported on PadicInt")
+        result = PadicInt(self.p, 1, self.prec + 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def unit_inverse(self) -> "PadicInt":
+        if not self.is_unit():
+            raise ValueError("not a unit at current precision")
+        inv = pow(self.digits, -1, _pk(self.p, self.prec))
+        return PadicInt(self.p, inv, self.prec)
+
+    def divexact_p(self, k: int) -> "PadicInt":
+        """Divide by p^k.  Requires the known digits to be divisible."""
+        if k == 0:
+            return self
+        if self.prec <= k:
+            return PadicInt(self.p, 0, 0)
+        pk = _pk(self.p, k)
+        if self.digits % pk != 0:
+            raise ValueError("digits not divisible by p^k")
+        return PadicInt(self.p, self.digits // pk, self.prec - k)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = PadicInt(self.p, other, self.prec)
+        if not isinstance(other, PadicInt) or other.p != self.p:
+            return NotImplemented
+        return (self - other).digits == 0
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"PadicInt({self.digits} + O({self.p}^{self.prec}))"
+
+
+def flat_from_coeffs(field: BaseField, shift: int, coeffs) -> K0Element:
+    """The flat element with per-coefficient Z_p scalars c_i of
+    pi0^(shift+i), known up to the least of their precisions."""
+    absprec = shift + min(field.e0 * c.prec + i for i, c in enumerate(coeffs))
+    return K0Element.make(field, shift, [c.digits for c in coeffs], absprec)
+
+
+def coeffs_of(x: K0Element) -> tuple:
+    """The digits of a flat element as Z_p scalars, each at its implied
+    precision."""
+    p = x.field.p
+    e0 = x.field.e0
+    m = x.absprec - x.shift
+    return tuple(PadicInt(p, d, -((i - m) // e0))
+                 for i, d in enumerate(x.digits))
 
 
 class RefField:

@@ -260,3 +260,20 @@ class TestInputGaps:
         captured = capsys.readouterr()
         assert "--sample must be nonnegative" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "analyze", "audit"])
+    def test_depth_cap_is_a_named_validation_failure(self, tmp_path, capsys,
+                                                     command):
+        # passes both choice checks, yet its depth 62 reaches the cap 60
+        path = tmp_path / "deep.cfg"
+        path.write_text("p = 3\ne0 = 8\na1 = pi0^-1\nmu = pi0^-3\n")
+        assert main([command, "--config", str(path), "--json"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert not report["passed"]
+        assert [b["passed"] for b in report["choices"]] == [True, True, False]
+        failed = [(b["subject"], c["name"]) for b in report["choices"]
+                  for c in b["checks"] if not c["passed"]]
+        assert failed == [("ramification", "depth-below-cap")]
+        assert "= 62 < 60 =" in report["choices"][2]["checks"][0]["detail"]

@@ -89,7 +89,7 @@ class TestRamificationData:
         assert rd.depth == 26
         assert rd.different_val == 34
         assert rd.precision_c == 1
-        assert rd.residue_b == rd.r_b2 == 1
+        assert rd.as_dict()["residue_b"] == rd.r_b2 == 1
         # depth respects its structural cap
         assert rd.depth < Fraction(10, 12) * 54
 

@@ -9,15 +9,13 @@ from wittscaffold.galois import (
     compute_sigma1,
     compute_sigma2,
     compute_sigma2_direct,
-    cyclic_group,
-    identity_automorphism,
     k0_binomial,
     psi_operators,
     scaffold_index,
     scaffold_index_digits,
     truncated_exp,
 )
-from wittscaffold.tower import scaffold_lambda, trace_sum, trace_to_base, uniformizer_k2
+from wittscaffold.tower import scaffold_lambda, uniformizer_k2
 from wittscaffold.witt import WittVector2, d_poly
 
 
@@ -196,29 +194,34 @@ class TestPsiOperators(object):
         assert grown.val_floor() >= 54 + 10
 
 
+def _full_trace(s1, s2):
+    """sum_{k<p^2} T^k, the trace of K2/K0 as a group-ring element."""
+    one = s1.ext.base.one()
+    return GroupRingElement(s1, s2, {k: one for k in range(s1.ext.degree())})
+
+
 class TestTraces(object):
     def test_trace_of_one(self, ctx5):
-        desc, s1, _, _, _ = ctx5
-        autos = cyclic_group(s1)
-        assert trace_to_base(desc.one(), autos) == desc.base.from_int(9)
+        desc, s1, s2, _, _ = ctx5
+        tr = _full_trace(s1, s2)(desc.one())
+        assert (tr - desc.from_k0(desc.base.from_int(9))).vanishes()
 
     def test_subextension_trace_of_shift_error(self, ctx5):
-        desc, _, s2, _, _ = ctx5
+        desc, s1, s2, _, _ = ctx5
         delta = s2.image_x2 - desc.x2() - 1
-        sub = [identity_automorphism(desc)]
-        for _ in range(2):
-            sub.append(s2.compose(sub[-1]))
-        assert (trace_sum(delta, sub) + 3).vanishes()
+        one = desc.base.one()
+        sub = GroupRingElement(s1, s2, {3 * j: one for j in range(3)})
+        assert (sub(delta) + 3).vanishes()
 
     def test_depth_bound_on_traces(self, ctx5):
-        desc, s1, _, _, _ = ctx5
-        autos = cyclic_group(s1)
+        desc, s1, s2, _, _ = ctx5
+        trace = _full_trace(s1, s2)
         rng = random.Random(8)
         from tests_helpers import element_with_valuation
 
         for t in (-5, 0, 3, 7):
             y = element_with_valuation(desc, rng, t)
-            tr = trace_sum(y, autos)
+            tr = trace(y)
             assert tr.val_floor() - t >= 26
 
     def test_scaffold_index_is_negated_inverse(self, ctx5):
@@ -227,22 +230,11 @@ class TestTraces(object):
             (-t * 1) % 9 for t in range(9)
         ]
 
-    def test_partial_orbit_sum_is_not_rational(self, ctx5):
-        desc, s1, _, _, _ = ctx5
-        from wittscaffold.errors import NotInBaseField
-
-        partial = [identity_automorphism(desc), s1]
-        with pytest.raises(NotInBaseField):
-            trace_to_base(desc.x1(), partial)
-
     def test_apply_keeps_degraded_zero_bounds(self, ctx5):
         desc, s1, _, _, _ = ctx5
-        from wittscaffold.padic import K0Element, PadicInt
+        from wittscaffold.padic import K0Element
 
-        f = desc.base
-        limited = K0Element.make(
-            f, 0, (PadicInt(3, 0, 2),) + tuple(f.exact(0) for _ in range(5))
-        )
+        limited = K0Element.make(desc.base, 0, [0] * 6, 12)
         z = desc.from_k0(limited)
         img = s1.apply(z)
         assert img.is_zero()

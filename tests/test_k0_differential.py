@@ -20,13 +20,13 @@ import random
 
 import pytest
 
-from k0_reference import RefField, RefK0Element
+from k0_reference import PadicInt, RefField, RefK0Element, coeffs_of, flat_from_coeffs
 from wittscaffold.errors import (
     DivisionByIndeterminateZero,
     IndeterminateValuation,
     PrecisionExhausted,
 )
-from wittscaffold.padic import BaseField, K0Element, PadicInt
+from wittscaffold.padic import BaseField, K0Element
 
 # (p, e0, Eisenstein unit, prec_digits, chains, chain length);
 # 20,000 ops in total
@@ -109,13 +109,13 @@ def _outcome(x):
 
 def _as_flat(field, x):
     """An element of either model re-read as a flat element of ``field``."""
-    return K0Element.make(field, x.shift, tuple(
-        PadicInt(field.p, c.digits, c.prec) for c in x.coeffs))
+    coeffs = x.coeffs if isinstance(x, RefK0Element) else coeffs_of(x)
+    return flat_from_coeffs(field, x.shift, coeffs)
 
 
 def _as_reference(field, x):
     """A flat element re-read in the per-coefficient model."""
-    return RefK0Element.make(field, x.shift, x.coeffs)
+    return RefK0Element.make(field, x.shift, coeffs_of(x))
 
 
 def _full_inputs(rng, flat, count=4):
@@ -126,7 +126,7 @@ def _full_inputs(rng, flat, count=4):
         digits = [rng.randrange(p**prec) for _ in range(e0)]
         if rng.random() < 0.3:
             digits[0] = p * rng.randrange(p ** (prec - 1))
-        xs.append(K0Element.make(flat, shift, tuple(flat.exact(d) for d in digits)))
+        xs.append(K0Element.make(flat, shift, digits, shift + e0 * prec))
     return xs
 
 
@@ -194,7 +194,7 @@ def _unsound(claim, truth, fine):
 
 def _count_unsound(p, e0, prec, chains, length, use_reference):
     coarse = (RefField if use_reference else BaseField)(p, e0, prec_digits=prec)
-    maker = RefK0Element if use_reference else K0Element
+    make = RefK0Element.make if use_reference else flat_from_coeffs
     fine = BaseField(p, e0, prec_digits=FINE_DIGITS)
     rng = random.Random(2000 * p + e0)
     unsound = 0
@@ -202,8 +202,8 @@ def _count_unsound(p, e0, prec, chains, length, use_reference):
         xs, lifts = [], []
         for _ in range(4):
             shift, cc, fc = _degraded_input(rng, coarse, fine)
-            xs.append(maker.make(coarse, shift, cc))
-            lifts.append(K0Element.make(fine, shift, fc))
+            xs.append(make(coarse, shift, cc))
+            lifts.append(flat_from_coeffs(fine, shift, fc))
         plan, claims = _run_chain(rng, xs, length)
         truths = _replay(plan, lifts)
         for claim, truth in zip(claims, truths):

@@ -171,13 +171,9 @@ class TestPrecisionTracking:
         # an element whose digits all vanish but whose precision is
         # limited must keep bounding products; only structural zeros may
         # drop out of convolutions
-        from wittscaffold.padic import K0Element, PadicInt
+        from wittscaffold.padic import K0Element
 
-        f = ext.base
-        limited = K0Element.make(
-            f, 0,
-            (PadicInt(3, 0, 2),) + tuple(f.exact(0) for _ in range(5)),
-        )
+        limited = K0Element.make(ext.base, 0, [0] * 6, 12)
         z = ext.from_k0(limited)  # zero known only modulo pi0^12
         assert z.is_zero()
         assert z.val_floor() == 9 * 12
@@ -202,17 +198,11 @@ class TestPrecisionTracking:
             xc, xf = pair(rng.randrange(10**9))
             yc, yf = pair(rng.randrange(10**9))
             zc, zf = xc * yc + xc, xf * yf + xf
-            from wittscaffold.padic import K0Element, PadicInt
+            from wittscaffold.padic import K0Element
 
             rows = [
-                [
-                    K0Element.make(
-                        fine.base,
-                        c.shift,
-                        tuple(PadicInt(3, d.digits, d.prec) for d in c.coeffs),
-                    )
-                    for c in row
-                ]
+                [K0Element.make(fine.base, c.shift, c.digits, c.absprec)
+                 for c in row]
                 for row in zc.rows
             ]
             re_embedded = K2Element(fine, rows)
