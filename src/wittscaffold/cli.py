@@ -206,10 +206,18 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
+def guard_digits(args) -> int:
+    """The ``--guard-digits`` value, rejected by name when negative."""
+    if args.guard_digits < 0:
+        raise ValueError(
+            f"--guard-digits must be nonnegative, got {args.guard_digits}")
+    return args.guard_digits
+
+
 def cmd_analyze(args) -> int:
     config = load_job_config(args)
     try:
-        ctx = build_context(config, guard_digits=args.guard_digits)
+        ctx = build_context(config, guard_digits=guard_digits(args))
     except ValidationFailure as exc:
         report = validation_report_dict(config, exc.reports, None, None)
         emit(report, config.fmt, render_validation_text)
@@ -224,7 +232,7 @@ def cmd_audit(args) -> int:
     if args.sample < 0:
         raise ValueError(f"--sample must be nonnegative, got {args.sample}")
     try:
-        ctx = build_context(config, guard_digits=args.guard_digits,
+        ctx = build_context(config, guard_digits=guard_digits(args),
                             fault=args.fault_inject)
     except ValidationFailure as exc:
         report = validation_report_dict(config, exc.reports, None, None)
@@ -257,7 +265,7 @@ def cmd_reproduce_example(args) -> int:
     config = JobConfig(p=3, e0=6, a1=(1, -1), mu=(1, -1),
                        precision=args.precision,
                        fmt="json" if args.json else "text")
-    ctx = build_context(config, guard_digits=args.guard_digits)
+    ctx = build_context(config, guard_digits=guard_digits(args))
     report = analyze_report_dict(ctx)
     got = {
         "b1": report["ramification"]["b1"],

@@ -47,14 +47,9 @@ class Automorphism:
         """Image of x: substitute the generator images into its monomial
         expansion.  K0 coefficients pass through unchanged."""
         table = self._power_table()
-        acc = None
-        for i, row in enumerate(x.rows):
-            for j, c in enumerate(row):
-                if c.is_pristine_zero():
-                    continue
-                term = table[i][j].scale(c)
-                acc = term if acc is None else acc + term
-        return acc if acc is not None else self.ext.zero()
+        return K2Element.combination(
+            self.ext, [(c, table[i][j]) for i, row in enumerate(x.rows)
+                       for j, c in enumerate(row) if not c.is_pristine_zero()])
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other."""
@@ -250,11 +245,8 @@ class GroupRingElement:
 
     def on_orbit(self, image) -> K2Element:
         """sum_k c_k T^k x, with T^k x read from ``image = orbit(x)``."""
-        acc = None
-        for k, c in self.coeffs.items():
-            term = image(k).scale(c)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else self.sigma1.ext.zero()
+        return K2Element.combination(
+            self.sigma1.ext, [(c, image(k)) for k, c in self.coeffs.items()])
 
     def __call__(self, x: K2Element) -> K2Element:
         return self.on_orbit(self.orbit(x))

@@ -21,6 +21,14 @@ substitution: each digit vector is packed into one big integer, one
 integer product gives the 2*e0 - 1 convolution sums, and the upper ones
 fold back through p * unit before the e0 digits are read out.
 
+Sums of products, such as the coefficients of K2 products and of
+K0-linear combinations in K2, go through ``dots``.  A sum's precision
+is the minimum over its terms, so a whole sum of products is one packed
+integer sum with one reduction, with the same digits, shift and
+precision as adding the products one at a time.  Only a sum that is
+zero at its precision is added term by term, because the shift of a
+computed zero depends on the order of the additions.
+
 Valuations are exact: the term valuations e0*v_p(d_i) + i are pairwise
 distinct modulo e0, so the minimum is attained by a unique term and no
 cross-term cancellation can hide it.  Normalizing a nonzero
@@ -282,13 +290,7 @@ class K0Element:
         pu = field._pu
         w = (max(a).bit_length() + max(b).bit_length() + e0.bit_length()
              + pu.bit_length() + 1)
-        x = 0
-        for d in reversed(a):
-            x = (x << w) | d
-        y = 0
-        for d in reversed(b):
-            y = (y << w) | d
-        z = x * y
+        z = _pack(a, w) * _pack(b, w)
         low = w * e0
         z = (z & ((1 << low) - 1)) + pu * (z >> low)
         mask = (1 << w) - 1
@@ -356,6 +358,124 @@ class K0Element:
                  for i, d in enumerate(self.digits) if d]
         body = " + ".join(terms) if terms else "0"
         return f"K0Element({body} + O(pi0^{self.absprec}))"
+
+
+def _pack(digits, w: int) -> int:
+    """Kronecker packing: digits[k] in the w-bit slot k of one integer."""
+    x = 0
+    for d in reversed(digits):
+        x = (x << w) | d
+    return x
+
+
+def _fold(terms) -> K0Element:
+    """The left fold t0 + t1 + ... of the terms a * b, or a for b None."""
+    acc = None
+    for a, b in terms:
+        t = a if b is None else a * b
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def dots(groups) -> list:
+    """Fused K0 sums of products.
+
+    Each group is a nonempty list of terms (a, b), b None standing for
+    the plain term a.  The result for a group is the sum of its terms,
+    equal in shift, digits and precision to the left fold t0 + t1 + ...
+    of the terms a * b (or a).
+
+    The precision is the least of the terms' own precisions, as the fold
+    computes it, and terms whose shift reaches it add nothing.  The live
+    terms are one sum of Kronecker-packed products at their least shift,
+    with one reduction per group: every operand is packed once per call
+    at one slot width, a term of higher shift q*e0 + r is multiplied by
+    (p * unit)^q and moved r slots up, and the upper slots fold back
+    through p * unit while still packed.  A nonzero sum has one
+    normalized form at its precision, so it is the fold's result.  A
+    sum that is zero at its precision keeps the shift the fold's order
+    of operations gives it, so such a group is folded term by term.
+    """
+    plans = []
+    left = {}
+    right = {}
+    nmax = span = 0
+    for terms in groups:
+        prec = None
+        cand = []
+        for a, b in terms:
+            da = a.digits[0]
+            if b is None:
+                n = a.absprec
+                if da:
+                    cand.append((a.shift, a, None))
+            else:
+                db = b.digits[0]
+                # the product's precision, as K0Element.__mul__ takes it
+                n = (a.shift if da else a.absprec) + b.absprec
+                m = (b.shift if db else b.absprec) + a.absprec
+                if m < n:
+                    n = m
+                if da and db:
+                    cand.append((a.shift + b.shift, a, b))
+            if prec is None or n < prec:
+                prec = n
+        # operands are keyed by identity, so each is packed once per call
+        live = []
+        for s, a, b in cand:
+            if s < prec:
+                ia = id(a)
+                left[ia] = a
+                if b is None:
+                    live.append((s, ia, None))
+                else:
+                    ib = id(b)
+                    right[ib] = b
+                    live.append((s, ia, ib))
+        s0 = None
+        if live:
+            shifts = [t[0] for t in live]
+            s0 = min(shifts)
+            span = max(span, max(shifts) - s0)
+            nmax = max(nmax, len(live))
+            field = terms[0][0].field
+        plans.append((terms, prec, s0, live))
+    if nmax:
+        e0 = field.e0
+        pu = field._pu
+        # a slot of one term's product is at most e0 * amax * bmax, times
+        # (p * unit)^q for its shift; slot shifts below e0 spread the sum
+        # over at most three blocks of e0 slots, which fold back with the
+        # factors 1, p * unit and (p * unit)^2
+        amax = max(max(x.digits) for x in left.values())
+        bmax = max((max(x.digits) for x in right.values()), default=1)
+        w = (nmax * e0 * amax * bmax * _pk(pu, span // e0)
+             * (1 + pu + pu * pu)).bit_length()
+        left.update(right)
+        packed = {k: _pack(x.digits, w) for k, x in left.items()}
+        low = w * e0
+        lowmask = (1 << low) - 1
+        mask = (1 << w) - 1
+    out = []
+    for terms, prec, s0, live in plans:
+        if live:
+            z = 0
+            for s, ia, ib in live:
+                t = packed[ia] if ib is None else packed[ia] * packed[ib]
+                if s != s0:
+                    q, r = divmod(s - s0, e0)
+                    z += (t * _pk(pu, q)) << (w * r)
+                else:
+                    z += t
+            while z >> low:
+                z = (z & lowmask) + pu * (z >> low)
+            x = K0Element.make(field, s0, [(z >> (w * k)) & mask
+                                           for k in range(e0)], prec)
+            if x.digits[0]:
+                out.append(x)
+                continue
+        out.append(_fold(terms))
+    return out
 
 
 def wp_membership_guard(a: K0Element) -> bool:

@@ -23,7 +23,7 @@ from .errors import (
     NoConvergence,
     PrecisionExhausted,
 )
-from .padic import BaseField, K0Element
+from .padic import BaseField, K0Element, dots
 
 
 class ExtensionDesc:
@@ -156,6 +156,17 @@ class K2Element:
         return cls(ext, rows)
 
     @classmethod
+    def combination(cls, ext: ExtensionDesc, terms) -> "K2Element":
+        """sum_k c_k * y_k for pairs (c_k, y_k) of a K0 scalar and an
+        element, as one fused K0 sum of products per coefficient."""
+        if not terms:
+            return ext.zero()
+        p = ext.p
+        sums = dots([[(c, y.rows[i][j]) for c, y in terms]
+                     for i in range(p) for j in range(p)])
+        return cls(ext, [sums[i * p:(i + 1) * p] for i in range(p)])
+
+    @classmethod
     def from_y_grid(cls, ext: ExtensionDesc, grid) -> "K2Element":
         """Convert a grid of coefficients on the x1^i y2^j basis, entries
         None meaning zero, into an element (x-basis)."""
@@ -224,38 +235,43 @@ class K2Element:
             raise ValueError("elements of different extensions")
         p = ext.p
         wide = 3 * p - 2
-        tmp = [[None] * (2 * p - 1) for _ in range(wide)]
-        for i in range(p):
-            for j in range(p):
-                ca = self.rows[i][j]
+        # the K0 terms of the coefficient of x1^i x2^j, in the order the
+        # schoolbook product and the two reductions add them
+        terms = [[[] for _ in range(2 * p - 1)] for _ in range(wide)]
+        right = [(k, l, cb) for k, row in enumerate(other.rows)
+                 for l, cb in enumerate(row) if not cb.is_pristine_zero()]
+        for i, row in enumerate(self.rows):
+            for j, ca in enumerate(row):
                 if ca.is_pristine_zero():
                     continue
-                for k in range(p):
-                    for l in range(p):
-                        cb = other.rows[k][l]
-                        if cb.is_pristine_zero():
-                            continue
-                        _acc(tmp, i + k, j + l, ca * cb)
-        # reduce x2 powers: x2^(p+t) = x2^(t+1) + (a2 + D(x1,a1)) * x2^t
-        for j in range(2 * p - 2, p - 1, -1):
-            for i in range(wide):
-                c = tmp[i][j]
-                if c is None:
-                    continue
-                tmp[i][j] = None
-                _acc(tmp, i, j - p + 1, c)
-                for k, rk in enumerate(ext.x2_rel):
-                    _acc(tmp, i + k, j - p, c * rk)
-        # reduce x1 powers: x1^(p+t) = x1^(t+1) + a1 * x1^t
-        for i in range(wide - 1, p - 1, -1):
-            for j in range(p):
-                c = tmp[i][j]
-                if c is None:
-                    continue
-                tmp[i][j] = None
-                _acc(tmp, i - p + 1, j, c)
-                _acc(tmp, i - p, j, c * ext.a1)
-        return K2Element(ext, _fill(ext, [row[:p] for row in tmp[:p]]))
+                for k, l, cb in right:
+                    terms[i + k][j + l].append((ca, cb))
+
+        def settle(cells):
+            cells = [(i, j) for i, j in cells if terms[i][j]]
+            return dict(zip(cells, dots([terms[i][j] for i, j in cells])))
+
+        # four batches, each settled before it is reduced: no reduction
+        # feeds a coefficient of its own or an earlier batch.
+        # x2^(p+t) = x2^(t+1) + (a2 + D(x1,a1)) * x2^t
+        high = settle([(i, j) for j in range(2 * p - 2, p - 1, -1)
+                       for i in range(wide)])
+        for (i, j), c in high.items():
+            terms[i][j - p + 1].append((c, None))
+            for k, rk in enumerate(ext.x2_rel):
+                terms[i + k][j - p].append((c, rk))
+        # x1^(p+t) = x1^(t+1) + a1 * x1^t: rows 2p-1..3p-3 feed rows
+        # p-1..2p-2, and rows p..2p-2 feed rows 0..p-1
+        for top, bottom in ((wide - 1, 2 * p - 1), (2 * p - 2, p)):
+            batch = settle([(i, j) for i in range(top, bottom - 1, -1)
+                            for j in range(p)])
+            for (i, j), c in batch.items():
+                terms[i - p + 1][j].append((c, None))
+                terms[i - p][j].append((c, ext.a1))
+        low = settle([(i, j) for i in range(p) for j in range(p)])
+        zero = ext._zero
+        return K2Element(ext, [[low.get((i, j), zero) for j in range(p)]
+                               for i in range(p)])
 
     __rmul__ = __mul__
 

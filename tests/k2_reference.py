@@ -1,0 +1,88 @@
+"""K2 products and K0-linear combinations as they were before they
+became fused K0 sums of products: every term one ``K0Element.__mul__``
+and every coefficient a left fold of K0 additions.  ``mul`` is the old
+``K2Element.__mul__``, ``apply`` the old ``Automorphism.apply`` and
+``on_orbit`` the old ``GroupRingElement.on_orbit``, kept verbatim as the
+reference for ``test_k2_differential.py``.
+"""
+
+from __future__ import annotations
+
+from wittscaffold.padic import K0Element
+from wittscaffold.tower import K2Element
+
+
+def _acc(tmp, i, j, val):
+    tmp[i][j] = val if tmp[i][j] is None else tmp[i][j] + val
+
+
+def _fill(ext, rows):
+    z = ext._zero
+    return [[c if c is not None else z for c in row] for row in rows]
+
+
+def mul(self, other):
+    if isinstance(other, (int, K0Element)):
+        return self.scale(other)
+    if not isinstance(other, K2Element):
+        return NotImplemented
+    ext = self.ext
+    if other.ext is not ext:
+        raise ValueError("elements of different extensions")
+    p = ext.p
+    wide = 3 * p - 2
+    tmp = [[None] * (2 * p - 1) for _ in range(wide)]
+    for i in range(p):
+        for j in range(p):
+            ca = self.rows[i][j]
+            if ca.is_pristine_zero():
+                continue
+            for k in range(p):
+                for l in range(p):
+                    cb = other.rows[k][l]
+                    if cb.is_pristine_zero():
+                        continue
+                    _acc(tmp, i + k, j + l, ca * cb)
+    # reduce x2 powers: x2^(p+t) = x2^(t+1) + (a2 + D(x1,a1)) * x2^t
+    for j in range(2 * p - 2, p - 1, -1):
+        for i in range(wide):
+            c = tmp[i][j]
+            if c is None:
+                continue
+            tmp[i][j] = None
+            _acc(tmp, i, j - p + 1, c)
+            for k, rk in enumerate(ext.x2_rel):
+                _acc(tmp, i + k, j - p, c * rk)
+    # reduce x1 powers: x1^(p+t) = x1^(t+1) + a1 * x1^t
+    for i in range(wide - 1, p - 1, -1):
+        for j in range(p):
+            c = tmp[i][j]
+            if c is None:
+                continue
+            tmp[i][j] = None
+            _acc(tmp, i - p + 1, j, c)
+            _acc(tmp, i - p, j, c * ext.a1)
+    return K2Element(ext, _fill(ext, [row[:p] for row in tmp[:p]]))
+
+
+def apply(self, x: K2Element) -> K2Element:
+    """Image of x: substitute the generator images into its monomial
+    expansion.  K0 coefficients pass through unchanged."""
+    table = self._power_table()
+    acc = None
+    for i, row in enumerate(x.rows):
+        for j, c in enumerate(row):
+            if c.is_pristine_zero():
+                continue
+            term = table[i][j].scale(c)
+            acc = term if acc is None else acc + term
+    return acc if acc is not None else self.ext.zero()
+
+
+def on_orbit(self, image) -> K2Element:
+    """sum_k c_k T^k x, with T^k x read from ``image = orbit(x)``."""
+    acc = None
+    for k, c in self.coeffs.items():
+        term = image(k).scale(c)
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else self.sigma1.ext.zero()

@@ -261,6 +261,17 @@ class TestInputGaps:
         assert "--sample must be nonnegative" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["analyze", "audit"])
+    @pytest.mark.parametrize("value", ["-1", "-2"])
+    def test_negative_guard_digits_rejected(self, example_cfg, capsys,
+                                            command, value):
+        rc = main([command, "--config", example_cfg, "--guard-digits", value,
+                   "--json"])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"--guard-digits must be nonnegative, got {value}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["validate", "analyze", "audit"])
     def test_depth_cap_is_a_named_validation_failure(self, tmp_path, capsys,
                                                      command):

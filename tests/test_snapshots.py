@@ -2,8 +2,10 @@
 
 The stored files under ``tests/data/`` are the ``analyze --json`` and
 ``audit --json --sample 20 --seed 1`` outputs of the code before the
-scaffold operators became group-ring elements.  Any change of
-representation must reproduce them byte for byte.
+scaffold operators became group-ring elements; the p = 5 report is the
+output of the code before K2 products and linear combinations became
+fused K0 sums of products.  Any change of representation must
+reproduce them byte for byte.
 """
 
 from pathlib import Path
@@ -20,12 +22,15 @@ CONFIGS = {
     # the smallest non-free p = 3 case
     "deep": "p = 3\ne0 = 22\na1 = pi0^-5\nmu = pi0^-5\n",
     "p2": "p = 2\ne0 = 4\na1 = pi0^-1\nmu = pi0^-1\n",
+    # the smallest p = 5 case: 625-term products, a 5-term x2 relation
+    "p5": "p = 5\ne0 = 7\na1 = pi0^-1\nmu = pi0^-1\n",
 }
 
 RUNS = [
     ("analyze_golden.json", "golden", ["analyze"]),
     ("analyze_deep.json", "deep", ["analyze"]),
     ("analyze_p2.json", "p2", ["analyze"]),
+    ("analyze_p5.json", "p5", ["analyze"]),
     ("audit_golden_s1.json", "golden", ["audit", "--sample", "20", "--seed", "1"]),
     ("audit_p2_s1.json", "p2", ["audit", "--sample", "20", "--seed", "1"]),
 ]
