@@ -11,7 +11,8 @@ Subcommands::
 Parameters come from a flat key=value config file (``--config``), with
 flags overriding.  Field elements are monomials ``c*pi0^k``.  Exit
 codes: 0 success, 2 validation failure, 3 invariant or audit failure,
-4 precision exhaustion.
+4 precision exhausted (by a build, only once its guard-digit retries
+are spent).
 """
 
 from __future__ import annotations
@@ -21,19 +22,23 @@ import json
 import re
 import sys
 
-from .construction import check_freeness_bound, construct_extension, ramification_data
+from .construction import (
+    DEFAULT_GUARD_DIGITS,
+    check_freeness_bound,
+    construct_extension,
+    ramification_data,
+)
 from .errors import (
-    DivisionByIndeterminateZero,
-    IndeterminateValuation,
+    PRECISION_ERRORS,
     InternalDisagreement,
     InvariantViolation,
     NoConvergence,
-    PrecisionExhausted,
     ScaffoldError,
     ValidationFailure,
 )
 from .pipeline import (
     FAULT_NAMES,
+    GUARD_RETRIES,
     JobConfig,
     analyze_report_dict,
     audit_report_dict,
@@ -193,7 +198,8 @@ def cmd_validate(args) -> int:
     config = load_job_config(args)
     try:
         desc, reports = construct_extension(
-            config.p, config.e0, config.a1, config.mu, target_v2=config.precision
+            config.p, config.e0, config.a1, config.mu,
+            target_v2=config.precision, guard_digits=guard_digits(args),
         )
     except ValidationFailure as exc:
         report = validation_report_dict(config, exc.reports, None, None)
@@ -312,8 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report")
         sp.add_argument("--precision", type=int, default=None,
                         help="working v2-precision target")
-        sp.add_argument("--guard-digits", type=int, default=16,
-                        help="extra coefficient digits above the target")
+        sp.add_argument("--guard-digits", type=int,
+                        default=DEFAULT_GUARD_DIGITS,
+                        help="extra coefficient digits above the target "
+                             "(default %(default)s); a build that runs out "
+                             f"of precision is retried {GUARD_RETRIES} times, "
+                             "doubling them each time")
 
     sp = sub.add_parser("validate", help="check parameter choices and bounds")
     common(sp)
@@ -346,8 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PrecisionExhausted, IndeterminateValuation,
-            DivisionByIndeterminateZero) as exc:
+    except PRECISION_ERRORS as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except (InvariantViolation, InternalDisagreement, NoConvergence) as exc:

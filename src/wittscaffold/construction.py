@@ -239,9 +239,18 @@ def check_freeness_bound(rd: RamificationData, base: BaseField) -> FreenessBound
     )
 
 
-def default_prec_digits(p: int, e0: int, target_v2: int, guard_digits: int = 16) -> int:
-    """Coefficient digit precision giving the requested absolute
-    v2-target with headroom for intermediate losses."""
+# The fewest guard digits at which no report in the census box
+# (e0 < 30, b1 < 12, m < 8 at p = 2, 3 and 5; tests/guard_digits_sweep.py)
+# differs from one built with 16.  A build that runs out of precision
+# anyway is retried with more (pipeline.build_context).
+DEFAULT_GUARD_DIGITS = 11
+
+
+def default_prec_digits(p: int, e0: int, target_v2: int,
+                        guard_digits: int = DEFAULT_GUARD_DIGITS) -> int:
+    """Coefficient digit precision: the pi0-digits the absolute
+    v2-target needs, plus ``guard_digits`` of headroom for the losses of
+    intermediate steps (the Hensel lifts and their inverses above all)."""
     return max(2, math.ceil(target_v2 / (p * p * e0))) + guard_digits
 
 
@@ -251,7 +260,7 @@ def construct_extension(
     a1_mono: tuple[int, int],
     mu_mono: tuple[int, int],
     target_v2: int | None = None,
-    guard_digits: int = 16,
+    guard_digits: int = DEFAULT_GUARD_DIGITS,
     unit_digits: int = 1,
 ) -> tuple[ExtensionDesc, list[ValidationReport]]:
     """Build a validated extension from monomial data c * pi0^k for a1

@@ -43,3 +43,9 @@ class ValidationFailure(ScaffoldError):
     def __init__(self, message, reports=None):
         super().__init__(message)
         self.reports = reports or []
+
+
+# the errors that mean the working precision ran out: a build that
+# raises one may succeed with more guard digits
+PRECISION_ERRORS = (PrecisionExhausted, IndeterminateValuation,
+                    DivisionByIndeterminateZero)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import audit as audit_mod
 from .construction import (
+    DEFAULT_GUARD_DIGITS,
     FreenessBound,
     RamificationData,
     ValidationReport,
@@ -20,6 +21,7 @@ from .construction import (
     printed_example_item2_note,
     ramification_data,
 )
+from .errors import PRECISION_ERRORS
 from .galois import (
     Automorphism,
     GroupRingElement,
@@ -97,14 +99,35 @@ class AnalysisContext:
 
 FAULT_NAMES = ("sigma1",)
 
+# a build that runs out of precision is repeated this many times, each
+# with max(1, 2*digits) guard digits: 0 -> 1 -> 2 -> 4 -> 8
+GUARD_RETRIES = 4
 
-def build_context(config: JobConfig, guard_digits: int = 16,
+
+def build_context(config: JobConfig,
+                  guard_digits: int = DEFAULT_GUARD_DIGITS,
                   fault: str | None = None) -> AnalysisContext:
     """Run the construction pipeline.  ``fault`` deliberately corrupts a
     stage (skipping construction-time verification) so the audit suites
-    can demonstrate detection."""
+    can demonstrate detection.
+
+    A build that raises one of ``PRECISION_ERRORS`` is rebuilt with
+    max(1, 2*guard_digits) guard digits, up to ``GUARD_RETRIES`` times;
+    the last attempt's error propagates.  A ``ValidationFailure`` is
+    never retried.  The coefficient digits of the build that succeeded,
+    guard digits included, are ``ctx.desc.base.prec_digits``."""
     if fault is not None and fault not in FAULT_NAMES:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULT_NAMES}")
+    for _ in range(GUARD_RETRIES):
+        try:
+            return _build(config, guard_digits, fault)
+        except PRECISION_ERRORS:
+            guard_digits = max(1, 2 * guard_digits)
+    return _build(config, guard_digits, fault)
+
+
+def _build(config: JobConfig, guard_digits: int,
+           fault: str | None) -> AnalysisContext:
     strict = fault is None
     desc, reports = construct_extension(
         config.p, config.e0, config.a1, config.mu,

@@ -278,15 +278,19 @@ class K2Element:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported on K2Element")
-        result = self.ext.one()
+        if n == 0:
+            return self.ext.one()
+        # square-and-multiply from the lowest set bit, with no product by
+        # one: each factor's digits and precisions pass through unchanged
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- valuation and precision --------------------------------------
 
@@ -454,19 +458,26 @@ def hensel_lift(c: K2Element, t0: K2Element, trace: list | None = None,
     Requires v2(f(t0)) > 0 and f'(t0) a unit; the residual valuation at
     least doubles per step, and iteration stops once the residual is
     beyond ``target`` (the extension's padded lift target by default).
+    Each residual valuation is appended to ``trace`` when given.
+
+    One step costs t^(p-1), shared by the residual t*t^(p-1) - t - c and
+    the derivative p*t^(p-1) - 1, and the inverse of the derivative,
+    which is seeded with the previous step's inverse: the derivatives of
+    consecutive iterates differ by p times a multiple of the Newton
+    correction, so the seed is already close and few inversion steps
+    remain.
     """
     ext = c.ext
     p = ext.p
     if target is None:
         target = ext.lift_target
+    one = ext.one()
     t = t0
-
-    def residual(tt):
-        return tt**p - tt - c
-
-    f = residual(t)
+    inv = None
     last = None
     for _ in range(128):
+        tp = t ** (p - 1)
+        f = t * tp - t - c
         det, bound, prec = f._stats()
         if det is not None and (bound is None or det < bound):
             rv = det
@@ -488,28 +499,36 @@ def hensel_lift(c: K2Element, t0: K2Element, trace: list | None = None,
         if last is not None and rv <= last:
             raise NoConvergence("residual valuation stopped increasing")
         last = rv
-        fp = t ** (p - 1) * p - ext.one()
+        fp = tp * p - one
         if fp.valuation() != 0:
             raise NoConvergence("derivative is not a unit at the iterate")
-        t = t - f * _invert_unit(fp)
-        f = residual(t)
+        inv = _invert_unit(fp, inv)
+        t = t - f * inv
     raise NoConvergence("iteration budget exhausted")
 
 
-def _invert_unit(x: K2Element) -> K2Element:
-    """Inverse of a v2-valuation-zero element by Newton iteration."""
+def _invert_unit(x: K2Element, z: K2Element | None = None) -> K2Element:
+    """Inverse of a v2-valuation-zero element by Newton iteration
+    z <- z + z*(1 - x*z) from the approximate inverse ``z``, by default
+    the inverse of x's constant y-coefficient.
+
+    Iteration runs until 1 - x*z vanishes at the working precision.
+    When it already vanishes for the seed, one Newton step is still
+    taken: it caps the seed at the precision of x, which a seed that
+    saw one coefficient of x (or an earlier x) may overstate.  Every
+    iterate is capped at the precision of its seed, so a seeded inverse
+    can know a coefficient to more digits than the default one, whose
+    seed carries what the change to the y-basis lost.
+    """
     ext = x.ext
     if x.valuation() != 0:
         raise ValueError("only unit inversion is supported in K2")
-    y00 = x.y_coefficients()[0][0]
-    z = ext.from_k0(y00.inverse())
+    if z is None:
+        z = ext.from_k0(x.y_coefficients()[0][0].inverse())
     one = ext.one()
     r = one - x * z
     for step in range(64):
         if r.is_zero():
-            # the seed 1/y00 sees one coefficient of x only; a Newton
-            # step caps it at the precision of all of x, as later
-            # iterates already are
             return z + z * r if step == 0 else z
         z = z + z * r
         r = one - x * z

@@ -10,6 +10,7 @@ from wittscaffold.cli import (
     main,
     parse_monomial,
 )
+from wittscaffold.construction import DEFAULT_GUARD_DIGITS
 
 
 EXAMPLE_CFG = """\
@@ -195,11 +196,54 @@ class TestReproduceExample:
 
 
 class TestPrecisionExhaustion:
-    def test_exit_code(self, example_cfg, capsys):
+    @staticmethod
+    def counted_builds(monkeypatch, exhaust):
+        """Record the guard digits of every build; with ``exhaust``, each
+        build runs out of precision right after its construction."""
+        from wittscaffold import pipeline
+        from wittscaffold.errors import PrecisionExhausted
+
+        digits = []
+        construct = pipeline.construct_extension
+
+        def construct_counted(*args, guard_digits, **kwargs):
+            digits.append(guard_digits)
+            return construct(*args, guard_digits=guard_digits, **kwargs)
+
+        def sigma1_exhausted(*args, **kwargs):
+            raise PrecisionExhausted("forced")
+
+        monkeypatch.setattr(pipeline, "construct_extension", construct_counted)
+        if exhaust:
+            monkeypatch.setattr(pipeline, "compute_sigma1", sigma1_exhausted)
+        return digits
+
+    def test_exit_code(self, example_cfg, capsys, monkeypatch):
+        # exit 4 comes only once the bounded retries are spent
+        digits = self.counted_builds(monkeypatch, exhaust=True)
         rc = main(["analyze", "--config", example_cfg,
                    "--precision", "108", "--guard-digits", "0"])
         assert rc == EXIT_PRECISION
-        assert "precision exhausted" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "precision exhausted: forced" in captured.err
+        assert captured.out == ""
+        assert digits == [0, 1, 2, 4, 8]
+
+    def test_retry_stops_at_the_first_build_that_succeeds(self, example_cfg,
+                                                         capsys, monkeypatch):
+        # the worked example first succeeds with 4 guard digits
+        digits = self.counted_builds(monkeypatch, exhaust=False)
+        assert main(["analyze", "--config", example_cfg, "--json",
+                     "--guard-digits", "0"]) == EXIT_OK
+        capsys.readouterr()
+        assert digits == [0, 1, 2, 4]
+
+    def test_validation_failure_is_not_retried(self, rejected_cfg, capsys,
+                                               monkeypatch):
+        digits = self.counted_builds(monkeypatch, exhaust=True)
+        assert main(["analyze", "--config", rejected_cfg]) == EXIT_VALIDATION
+        capsys.readouterr()
+        assert digits == [DEFAULT_GUARD_DIGITS]
 
 
 class TestConfigParsing:
@@ -261,7 +305,7 @@ class TestInputGaps:
         assert "--sample must be nonnegative" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["analyze", "audit"])
+    @pytest.mark.parametrize("command", ["analyze", "audit", "validate"])
     @pytest.mark.parametrize("value", ["-1", "-2"])
     def test_negative_guard_digits_rejected(self, example_cfg, capsys,
                                             command, value):

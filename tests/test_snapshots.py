@@ -43,3 +43,15 @@ def test_report_is_byte_identical(stored, config, args, tmp_path, capsys):
     cfg.write_text(CONFIGS[config])
     assert main([*args, "--config", str(cfg), "--json"]) == EXIT_OK
     assert capsys.readouterr().out == (DATA / stored).read_text()
+
+
+@pytest.mark.parametrize("config", ["golden", "deep"])
+def test_retry_from_zero_guard_digits_gives_the_same_report(config, tmp_path,
+                                                            capsys):
+    # neither builds with 0 guard digits; the retries end at 4 (golden)
+    # and 8 (deep) guard digits, with the report of the default
+    cfg = tmp_path / f"{config}.cfg"
+    cfg.write_text(CONFIGS[config])
+    argv = ["analyze", "--config", str(cfg), "--json", "--guard-digits", "0"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (DATA / f"analyze_{config}.json").read_text()
