@@ -8,8 +8,8 @@ fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from .construction import Check
 from .errors import IndeterminateValuation
 from .galois import (
     Automorphism,
@@ -19,16 +19,6 @@ from .galois import (
 )
 from .structure import psi_power
 from .tower import ExtensionDesc, K2Element, scaffold_lambda
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def random_unit(desc: ExtensionDesc, rng: random.Random) -> K2Element:
@@ -57,7 +47,7 @@ def corrupt_sigma1(sigma1: Automorphism) -> Automorphism:
     return Automorphism(sigma1.ext, sigma1.image_x1, sigma1.image_x2 + 1)
 
 
-def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckResult]:
+def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]:
     """Invariants of the Galois realization and the scaffold operators."""
     desc = ctx.desc
     p = desc.p
@@ -69,10 +59,10 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckR
     psi1, psi2 = ctx.psi1, ctx.psi2
     x1, x2 = desc.x1(), desc.x2()
     a1k = desc.from_k0(desc.a1)
-    results: list[CheckResult] = []
+    results: list[Check] = []
 
     def add(name, passed, detail):
-        results.append(CheckResult(name, passed, detail))
+        results.append(Check(name, passed, detail))
 
     from .witt import WittVector2, d_poly
 
@@ -247,7 +237,7 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[CheckR
 
 
 def structure_invariant_suite(ctx, rng: random.Random,
-                              samples: int) -> list[CheckResult]:
+                              samples: int) -> list[Check]:
     """Invariants of the module-structure layer."""
     from .structure import (
         brute_force_w,
@@ -259,10 +249,10 @@ def structure_invariant_suite(ctx, rng: random.Random,
     p = desc.p
     p2 = p * p
     tables = ctx.tables
-    results: list[CheckResult] = []
+    results: list[Check] = []
 
     def add(name, passed, detail):
-        results.append(CheckResult(name, passed, detail))
+        results.append(Check(name, passed, detail))
 
     vals = []
     ok = True

@@ -82,6 +82,8 @@ def parse_config_file(path: str) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value
     return out
 
@@ -194,17 +196,27 @@ def render_audit_text(report: dict) -> None:
 # -- subcommands ------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
-    config = load_job_config(args)
-    try:
-        desc, reports = construct_extension(
-            config.p, config.e0, config.a1, config.mu,
-            target_v2=config.precision, guard_digits=guard_digits(args),
-        )
-    except ValidationFailure as exc:
-        report = validation_report_dict(config, exc.reports, None, None)
-        emit(report, config.fmt, render_validation_text)
-        return EXIT_VALIDATION
+def job(command):
+    """A subcommand on the job config: ``command(args, config)`` runs on
+    the config file and flags, and a ``ValidationFailure`` it raises is
+    answered with the validation report and exit 2."""
+    def run(args) -> int:
+        config = load_job_config(args)
+        try:
+            return command(args, config)
+        except ValidationFailure as exc:
+            report = validation_report_dict(config, exc.reports, None, None)
+            emit(report, config.fmt, render_validation_text)
+            return EXIT_VALIDATION
+    return run
+
+
+@job
+def cmd_validate(args, config: JobConfig) -> int:
+    desc, reports = construct_extension(
+        config.p, config.e0, config.a1, config.mu,
+        target_v2=config.precision, guard_digits=guard_digits(args),
+    )
     rd = ramification_data(desc)
     bound = check_freeness_bound(rd, desc.base)
     report = validation_report_dict(config, reports, rd, bound)
@@ -220,30 +232,20 @@ def guard_digits(args) -> int:
     return args.guard_digits
 
 
-def cmd_analyze(args) -> int:
-    config = load_job_config(args)
-    try:
-        ctx = build_context(config, guard_digits=guard_digits(args))
-    except ValidationFailure as exc:
-        report = validation_report_dict(config, exc.reports, None, None)
-        emit(report, config.fmt, render_validation_text)
-        return EXIT_VALIDATION
+@job
+def cmd_analyze(args, config: JobConfig) -> int:
+    ctx = build_context(config, guard_digits=guard_digits(args))
     report = analyze_report_dict(ctx)
     emit(report, config.fmt, render_analysis_text)
     return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    config = load_job_config(args)
+@job
+def cmd_audit(args, config: JobConfig) -> int:
     if args.sample < 0:
         raise ValueError(f"--sample must be nonnegative, got {args.sample}")
-    try:
-        ctx = build_context(config, guard_digits=guard_digits(args),
-                            fault=args.fault_inject)
-    except ValidationFailure as exc:
-        report = validation_report_dict(config, exc.reports, None, None)
-        emit(report, config.fmt, render_validation_text)
-        return EXIT_VALIDATION
+    ctx = build_context(config, guard_digits=guard_digits(args),
+                        fault=args.fault_inject)
     report = audit_report_dict(ctx, args.sample, args.seed)
     emit(report, config.fmt, render_audit_text)
     return EXIT_OK if report["passed"] else EXIT_INVARIANT

@@ -239,6 +239,11 @@ def check_freeness_bound(rd: RamificationData, base: BaseField) -> FreenessBound
     )
 
 
+def default_target_v2(p: int, e0: int) -> int:
+    """The working v2-precision target when none is given."""
+    return 2 * p * p * e0
+
+
 # The fewest guard digits at which no report in the census box
 # (e0 < 30, b1 < 12, m < 8 at p = 2, 3 and 5; tests/guard_digits_sweep.py)
 # differs from one built with 16.  A build that runs out of precision
@@ -269,7 +274,7 @@ def construct_extension(
     bounds do not imply the cap, so it is checked here as one more named
     hypothesis, reported only when it fails."""
     if target_v2 is None:
-        target_v2 = 2 * p * p * e0
+        target_v2 = default_target_v2(p, e0)
     prec = default_prec_digits(p, e0, target_v2, guard_digits)
     base = BaseField(p, e0, unit_digits=unit_digits, prec_digits=prec)
     a1 = base.monomial(*a1_mono)

@@ -15,7 +15,7 @@ from math import factorial
 
 from .errors import InvariantViolation
 from .padic import K0Element
-from .tower import ExtensionDesc, K2Element, hensel_lift
+from .tower import ExtensionDesc, K2Element, hensel_lift, scaffold_index
 from .witt import d_poly
 
 
@@ -287,15 +287,6 @@ def psi_operators(ext: ExtensionDesc, sigma1: Automorphism,
     psi1 = t * truncated_exp(tp, ext.mu) - t.one()
     psi2 = tp - t.one()
     return psi1, psi2
-
-
-def scaffold_index(ext: ExtensionDesc, t: int) -> int:
-    """Residue index steering the shift law: the unique representative of
-    -t * b2^(-1) in [0, p^2).  Its base-p digits are exactly the (j, i)
-    exponents of the monomial pi0^k x1^i y2^j of valuation t."""
-    p2 = ext.p**2
-    binv = pow(ext.b2, -1, p2)
-    return (-t * binv) % p2
 
 
 def scaffold_index_digits(ext: ExtensionDesc, t: int) -> tuple[int, int]:

@@ -18,6 +18,7 @@ from .construction import (
     ValidationReport,
     check_freeness_bound,
     construct_extension,
+    default_target_v2,
     printed_example_item2_note,
     ramification_data,
 )
@@ -65,7 +66,7 @@ class JobConfig:
     def as_dict(self):
         target = self.precision
         if target is None:
-            target = 2 * self.p * self.p * self.e0
+            target = default_target_v2(self.p, self.e0)
         return {
             "p": self.p,
             "e0": self.e0,

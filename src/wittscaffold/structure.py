@@ -18,7 +18,7 @@ from .errors import (
     InvariantViolation,
 )
 from .galois import GroupRingElement
-from .tower import ExtensionDesc, K2Element
+from .tower import ExtensionDesc, K2Element, scaffold_index
 
 
 @dataclass
@@ -66,11 +66,10 @@ def build_tables(rd: RamificationData) -> ScaffoldTables:
     p = rd.p
     p2 = p * p
     b1, b2 = rd.b1, rd.b2
-    binv = pow(b2, -1, p2)
     # the index map is oriented so the digit being consumed by each
     # operator is the one that must stay nonnegative: a_map(t) has
     # base-p digits (j, i) for the monomial x1^i y2^j of valuation t
-    a_map = [(-j * binv) % p2 for j in range(p2)]
+    a_map = [scaffold_index(rd, t) for t in range(p2)]
     b_map = [shift_landing(b1, b2, p, a) for a in range(p2)]
     d = [bb // p2 for bb in b_map]
     w = [min(d[j + a] - d[a] for a in range(p2 - j)) for j in range(p2)]

@@ -9,8 +9,11 @@ the defining relations
 Valuations are read off on the valuation-friendly basis x1^i y2^j where
 y2 = x2 - mu*x1: the monomial valuations -i*p*b1 - j*b2 are pairwise
 distinct modulo p^2 (b2 = b1 mod p^2 and gcd(b1, p) = 1), so the minimum
-over terms is exact.  The two bases are exchanged by the triangular
-substitutions x2 = y2 + mu*x1 and y2 = x2 - mu*x1.
+over terms is exact.  The two bases are exchanged by one triangular
+substitution, ``_substitute_second``: T -> T + m*x1 with m = mu
+(x2 = y2 + mu*x1) or m = -mu (y2 = x2 - mu*x1).  The same fact names
+the monomial of each valuation residue (``scaffold_index``), and one
+rule (``K2Element._resolved``) says when the minimum is exact.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class ExtensionDesc:
     )
 
     def __init__(self, base: BaseField, a1: K0Element, mu: K0Element,
-                 target_v2: int | None = None):
+                 target_v2: int):
         p = base.p
         self.base = base
         self.a1 = a1
@@ -67,7 +70,7 @@ class ExtensionDesc:
         if self.b1 % p == 0:
             raise InvariantViolation("p must not divide v0(a1)")
         self.b2 = p * p * self.m + self.b1
-        self.target_v2 = target_v2 if target_v2 is not None else 2 * p * p * base.e0
+        self.target_v2 = target_v2
         # roots are lifted beyond the working target so that operator
         # identities still hold at the target on elements of deeply
         # negative valuation
@@ -94,16 +97,18 @@ class ExtensionDesc:
     # -- element factories ---------------------------------------------
 
     def zero(self) -> "K2Element":
-        return K2Element.from_scalar(self, self._zero)
+        return self.from_k0(self._zero)
 
     def one(self) -> "K2Element":
-        return K2Element.from_scalar(self, self._one)
+        return self.from_k0(self._one)
 
     def from_k0(self, c: K0Element) -> "K2Element":
-        return K2Element.from_scalar(self, c)
+        rows = self._empty_rows()
+        rows[0][0] = c
+        return K2Element(self, rows)
 
     def from_int(self, n: int) -> "K2Element":
-        return K2Element.from_scalar(self, self.base.from_int(n))
+        return self.from_k0(self.base.from_int(n))
 
     def x1(self) -> "K2Element":
         rows = self._empty_rows()
@@ -150,12 +155,6 @@ class K2Element:
         self._scache = None
 
     @classmethod
-    def from_scalar(cls, ext: ExtensionDesc, c: K0Element) -> "K2Element":
-        rows = ext._empty_rows()
-        rows[0][0] = c
-        return cls(ext, rows)
-
-    @classmethod
     def combination(cls, ext: ExtensionDesc, terms) -> "K2Element":
         """sum_k c_k * y_k for pairs (c_k, y_k) of a K0 scalar and an
         element, as one fused K0 sum of products per coefficient."""
@@ -170,19 +169,7 @@ class K2Element:
     def from_y_grid(cls, ext: ExtensionDesc, grid) -> "K2Element":
         """Convert a grid of coefficients on the x1^i y2^j basis, entries
         None meaning zero, into an element (x-basis)."""
-        p = ext.p
-        mu = ext.mu
-        rows = None
-        for l in reversed(range(p)):
-            if rows is not None:
-                rows = _shift_second(ext, rows, mu, negate_mu=True)
-            else:
-                rows = [[None] * p for _ in range(p)]
-            for i in range(p):
-                c = grid[i][l]
-                if c is not None:
-                    rows[i][0] = c if rows[i][0] is None else rows[i][0] + c
-        return cls(ext, _fill(ext, rows))
+        return cls(ext, _substitute_second(ext, grid, -ext.mu))
 
     # -- linear structure ------------------------------------------------
 
@@ -297,18 +284,8 @@ class K2Element:
     def y_coefficients(self):
         """Coefficients on the x1^i y2^j basis (p x p grid of K0Element)."""
         if self._ycache is None:
-            ext = self.ext
-            p = ext.p
-            rows = None
-            for j in reversed(range(p)):
-                if rows is not None:
-                    rows = _shift_second(ext, rows, ext.mu, negate_mu=False)
-                else:
-                    rows = [[None] * p for _ in range(p)]
-                for i in range(p):
-                    c = self.rows[i][j]
-                    rows[i][0] = c if rows[i][0] is None else rows[i][0] + c
-            self._ycache = tuple(tuple(r) for r in _fill(ext, rows))
+            self._ycache = tuple(map(tuple, _substitute_second(
+                self.ext, self.rows, self.ext.mu)))
         return self._ycache
 
     def _stats(self):
@@ -342,19 +319,25 @@ class K2Element:
                     prec = pr
         return det, bound, prec
 
-    def valuation(self) -> int:
+    def _resolved(self) -> tuple[int, bool]:
+        """(floor, exact): a lower bound on the valuation, and whether it
+        is the valuation itself, which holds when the least determined
+        term lies below every undetermined one."""
         det, bound, _ = self._stats()
         if det is not None and (bound is None or det < bound):
-            return det
+            return det, True
+        return min(x for x in (det, bound) if x is not None), False
+
+    def valuation(self) -> int:
+        floor, exact = self._resolved()
+        if exact:
+            return floor
         raise IndeterminateValuation(
             "element has no resolvable valuation at current precision"
         )
 
     def val_floor(self) -> int:
-        det, bound, _ = self._stats()
-        if det is not None and (bound is None or det < bound):
-            return det
-        return min(x for x in (det, bound) if x is not None)
+        return self._resolved()[0]
 
     def precision(self) -> int:
         """Absolute v2-precision of the element."""
@@ -388,67 +371,73 @@ class K2Element:
         return "K2Element(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-def _acc(tmp, i, j, val):
-    tmp[i][j] = val if tmp[i][j] is None else tmp[i][j] + val
+def _substitute_second(ext: ExtensionDesc, grid, m: K0Element):
+    """The coefficients of sum_{i,j} grid[i][j] x1^i (T + m*x1)^j on the
+    basis x1^i T^j, as a p x p list of rows; entries of ``grid`` may be
+    None, meaning zero.
 
-
-def _fill(ext, rows):
-    z = ext._zero
-    return [[c if c is not None else z for c in row] for row in rows]
-
-
-def _shift_second(ext, rows, mu, negate_mu):
-    """Multiply a p x p grid (entries may be None) by (T + s*mu*x1) where
-    T is the second basis generator of the grid and s = -1 when
-    ``negate_mu``.  Used by the triangular basis changes in both
-    directions; the x1 overflow folds through x1^p = x1 + a1."""
+    Horner's rule in T: multiply the partial sum by T + m*x1, folding
+    the x1 overflow through x1^p = x1 + a1, then add the next column.
+    The K0 additions run term by term in this fixed order, since the
+    shift of a computed zero depends on it."""
     p = ext.p
-    out = [[None] * p for _ in range(p)]
-    for i in range(p):
-        for l in range(p):
-            c = rows[i][l]
-            if c is None:
-                continue
-            _acc(out, i, l + 1, c)
-            cm = c * mu
-            if negate_mu:
-                cm = -cm
-            if i + 1 < p:
-                _acc(out, i + 1, l, cm)
-            else:
-                _acc(out, 1, l, cm)
-                _acc(out, 0, l, cm * ext.a1)
-    return out
+    a1 = ext.a1
+    rows = [[None] * p for _ in range(p)]
+
+    def add(i, j, c):
+        rows[i][j] = c if rows[i][j] is None else rows[i][j] + c
+
+    for j in reversed(range(p)):
+        if j < p - 1:
+            prev, rows = rows, [[None] * p for _ in range(p)]
+            for i in range(p):
+                for l in range(p):
+                    c = prev[i][l]
+                    if c is None:
+                        continue
+                    add(i, l + 1, c)
+                    cm = c * m
+                    if i + 1 < p:
+                        add(i + 1, l, cm)
+                    else:
+                        add(1, l, cm)
+                        add(0, l, cm * a1)
+        for i in range(p):
+            c = grid[i][j]
+            if c is not None:
+                add(i, 0, c)
+    zero = ext._zero
+    return [[zero if c is None else c for c in row] for row in rows]
+
+
+def scaffold_index(ext, t: int) -> int:
+    """Residue index steering the shift law: the unique representative of
+    -t * b2^(-1) in [0, p^2).  Its base-p digits are exactly the (j, i)
+    exponents of the monomial pi0^k x1^i y2^j of valuation t, since
+    b1 = b2 mod p^2.  Reads only ``ext.p`` and ``ext.b2``, so any
+    record of the break numbers serves."""
+    p2 = ext.p**2
+    return (-t * pow(ext.b2, -1, p2)) % p2
 
 
 def uniformizer_exponents(ext: ExtensionDesc, r: int) -> tuple[int, int, int]:
     """Exponents (k, i, j) of the unique monomial pi0^k x1^i y2^j with
     0 <= i, j < p and valuation exactly r."""
     p = ext.p
-    p2 = p * p
-    r %= p2
-    for i in range(p):
-        for j in range(p):
-            if (-i * p * ext.b1 - j * ext.b2 - r) % p2 == 0:
-                k = (r + i * p * ext.b1 + j * ext.b2) // p2
-                return k, i, j
-    raise InvariantViolation("no monomial of requested residue")  # unreachable
+    i, j = divmod(scaffold_index(ext, r), p)
+    return (r + i * p * ext.b1 + j * ext.b2) // (p * p), i, j
 
 
 def uniformizer_k2(ext: ExtensionDesc, r: int) -> K2Element:
     """A monomial of K2 with valuation the least nonnegative residue of
     r modulo p^2."""
-    k, i, j = uniformizer_exponents(ext, r % (ext.p**2))
-    return ext.monomial(k, i, j)
+    return ext.monomial(*uniformizer_exponents(ext, r % ext.p**2))
 
 
 def scaffold_lambda(ext: ExtensionDesc, t: int) -> K2Element:
     """The monomial of valuation exactly t whose quotient by any other
     of the family with congruent index lies in K0."""
-    p2 = ext.p**2
-    k, i, j = uniformizer_exponents(ext, t % p2)
-    base_val = ext.monomial_valuation(k, i, j)
-    return ext.monomial(k + (t - base_val) // p2, i, j)
+    return ext.monomial(*uniformizer_exponents(ext, t))
 
 
 def hensel_lift(c: K2Element, t0: K2Element, trace: list | None = None,
@@ -478,21 +467,14 @@ def hensel_lift(c: K2Element, t0: K2Element, trace: list | None = None,
     for _ in range(128):
         tp = t ** (p - 1)
         f = t * tp - t - c
-        det, bound, prec = f._stats()
-        if det is not None and (bound is None or det < bound):
-            rv = det
-            if rv <= 0:
-                raise NoConvergence(f"residual valuation {rv} is not positive")
-            if trace is not None:
-                trace.append(rv)
-            if rv >= target:
-                return t
-        else:
-            rv = min(x for x in (det, bound) if x is not None)
-            if trace is not None:
-                trace.append(rv)
-            if rv >= target:
-                return t
+        rv, exact = f._resolved()
+        if exact and rv <= 0:
+            raise NoConvergence(f"residual valuation {rv} is not positive")
+        if trace is not None:
+            trace.append(rv)
+        if rv >= target:
+            return t
+        if not exact:
             raise PrecisionExhausted(
                 f"residual vanishes at precision {rv} < target {target}"
             )

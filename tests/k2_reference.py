@@ -3,7 +3,11 @@ became fused K0 sums of products: every term one ``K0Element.__mul__``
 and every coefficient a left fold of K0 additions.  ``mul`` is the old
 ``K2Element.__mul__``, ``apply`` the old ``Automorphism.apply`` and
 ``on_orbit`` the old ``GroupRingElement.on_orbit``, kept verbatim as the
-reference for ``test_k2_differential.py``.
+reference for ``test_k2_differential.py``.  ``y_coefficients`` and
+``from_y_grid`` are the two basis changes as they were before they
+shared one substitution helper: each ran its own Horner loop over
+``_shift_second``, which negated mu * c after the product for the
+change back to the x-basis.
 """
 
 from __future__ import annotations
@@ -86,3 +90,61 @@ def on_orbit(self, image) -> K2Element:
         term = image(k).scale(c)
         acc = term if acc is None else acc + term
     return acc if acc is not None else self.sigma1.ext.zero()
+
+
+def _shift_second(ext, rows, mu, negate_mu):
+    """Multiply a p x p grid (entries may be None) by (T + s*mu*x1) where
+    T is the second basis generator of the grid and s = -1 when
+    ``negate_mu``.  Used by the triangular basis changes in both
+    directions; the x1 overflow folds through x1^p = x1 + a1."""
+    p = ext.p
+    out = [[None] * p for _ in range(p)]
+    for i in range(p):
+        for l in range(p):
+            c = rows[i][l]
+            if c is None:
+                continue
+            _acc(out, i, l + 1, c)
+            cm = c * mu
+            if negate_mu:
+                cm = -cm
+            if i + 1 < p:
+                _acc(out, i + 1, l, cm)
+            else:
+                _acc(out, 1, l, cm)
+                _acc(out, 0, l, cm * ext.a1)
+    return out
+
+
+def y_coefficients(self):
+    """Coefficients on the x1^i y2^j basis (p x p grid of K0Element)."""
+    ext = self.ext
+    p = ext.p
+    rows = None
+    for j in reversed(range(p)):
+        if rows is not None:
+            rows = _shift_second(ext, rows, ext.mu, negate_mu=False)
+        else:
+            rows = [[None] * p for _ in range(p)]
+        for i in range(p):
+            c = self.rows[i][j]
+            rows[i][0] = c if rows[i][0] is None else rows[i][0] + c
+    return tuple(tuple(r) for r in _fill(ext, rows))
+
+
+def from_y_grid(ext, grid) -> K2Element:
+    """Convert a grid of coefficients on the x1^i y2^j basis, entries
+    None meaning zero, into an element (x-basis)."""
+    p = ext.p
+    mu = ext.mu
+    rows = None
+    for l in reversed(range(p)):
+        if rows is not None:
+            rows = _shift_second(ext, rows, mu, negate_mu=True)
+        else:
+            rows = [[None] * p for _ in range(p)]
+        for i in range(p):
+            c = grid[i][l]
+            if c is not None:
+                rows[i][0] = c if rows[i][0] is None else rows[i][0] + c
+    return K2Element(ext, _fill(ext, rows))

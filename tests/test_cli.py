@@ -298,6 +298,16 @@ class TestInputGaps:
         assert "precision must be a positive" in captured.err
         assert captured.out == ""
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        # a repeated key used to override the earlier value silently, so
+        # this config was analysed as p = 2 and passed
+        path = tmp_path / "dup.cfg"
+        path.write_text(EXAMPLE_CFG + "p = 2\n")
+        assert main(["validate", "--config", str(path), "--json"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"{path}:6: duplicate key 'p'" in captured.err
+        assert captured.out == ""
+
     def test_negative_sample_rejected(self, example_cfg, capsys):
         rc = main(["audit", "--config", example_cfg, "--sample", "-3", "--json"])
         assert rc == EXIT_VALIDATION

@@ -6,7 +6,9 @@ The fused kernel must not change a single coefficient: every product,
 with the reference by the (shift, digits, absprec) of each K0
 coefficient, on basis monomials, seeded elements of known valuation,
 the lifted generator images and copies of all of these whose
-coefficients carry degraded precisions.
+coefficients carry degraded precisions.  The two basis changes,
+``K2Element.y_coefficients`` and ``K2Element.from_y_grid``, are compared
+with their reference the same way.
 """
 
 import random
@@ -85,3 +87,50 @@ def test_fused_k2_arithmetic_matches_reference(p, e0, k, unit, seeded, products)
         for word in words:
             assert (state(word.on_orbit(orbit))
                     == state(k2_reference.on_orbit(word, orbit)))
+
+
+def grid_state(grid):
+    return [[(c.shift, c.digits, c.absprec) for c in row] for row in grid]
+
+
+@pytest.mark.parametrize("p, e0, k, unit, seeded, products", CASES,
+                         ids=[f"p{c[0]}-e0{c[1]}-u{c[3]}" for c in CASES])
+def test_basis_changes_match_reference(p, e0, k, unit, seeded, products):
+    desc, _ = construct_extension(p, e0, (1, k), (1, k), unit_digits=unit)
+    p2 = p * p
+    rng = random.Random(7919 * p + e0 + unit)
+    elements = basis_monomials(desc) + [
+        element_with_valuation(desc, rng, rng.randrange(-p2, 2 * p2))
+        for _ in range(seeded)]
+    elements += [x * rng.choice(elements) for x in elements]
+    elements += [degraded(x, rng) for x in elements]
+
+    for x in elements:
+        y = x.y_coefficients()
+        assert grid_state(y) == grid_state(k2_reference.y_coefficients(x))
+        # back from the y-basis, with some coefficients left out as None
+        grid = [[c if rng.random() < 0.8 else None for c in row] for row in y]
+        assert (state(K2Element.from_y_grid(desc, grid))
+                == state(k2_reference.from_y_grid(desc, grid)))
+
+
+def test_basis_changes_keep_the_order_of_additions():
+    # at p = 3 the coefficient of x1 T of either basis change is the sum
+    # g02*m + (g02*m + g22*m + g11) + g22*m of entries of the source
+    # grid, in this order; with g11 = -2*(g02 + g22)*m it is zero, and
+    # the shift of that zero depends on the order of the additions
+    desc, _ = construct_extension(3, 6, (1, -1), (1, -1))
+    f = desc.base
+    for m in (desc.mu, -desc.mu):
+        grid = [[None] * 3 for _ in range(3)]
+        grid[0][2], grid[2][2] = f.monomial(1, 0), f.monomial(1, 2)
+        grid[1][1] = -((grid[0][2] + grid[2][2]) * m * 2)
+        if m is desc.mu:
+            x = K2Element(desc, [[f.zero() if c is None else c for c in row]
+                                 for row in grid])
+            got, want = x.y_coefficients(), k2_reference.y_coefficients(x)
+        else:
+            got = K2Element.from_y_grid(desc, grid).rows
+            want = k2_reference.from_y_grid(desc, grid).rows
+        assert got[1][1].is_zero()
+        assert grid_state(got) == grid_state(want)

@@ -4,15 +4,18 @@ The stored files under ``tests/data/`` are the ``analyze --json`` and
 ``audit --json --sample 20 --seed 1`` outputs of the code before the
 scaffold operators became group-ring elements; the p = 5 report is the
 output of the code before K2 products and linear combinations became
-fused K0 sums of products.  Any change of representation must
-reproduce them byte for byte.
+fused K0 sums of products.  The fault-injected golden audit and the
+deep audit are the outputs of the code before the K2 basis change, the
+residue index and the resolvability rule each got one implementation.
+Any change of representation must reproduce them byte for byte, with
+the same exit code.
 """
 
 from pathlib import Path
 
 import pytest
 
-from wittscaffold.cli import EXIT_OK, main
+from wittscaffold.cli import EXIT_INVARIANT, EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -26,22 +29,34 @@ CONFIGS = {
     "p5": "p = 5\ne0 = 7\na1 = pi0^-1\nmu = pi0^-1\n",
 }
 
+AUDIT_S1 = ["audit", "--sample", "20", "--seed", "1"]
+
+# stored report, config, arguments, expected exit code
 RUNS = [
-    ("analyze_golden.json", "golden", ["analyze"]),
-    ("analyze_deep.json", "deep", ["analyze"]),
-    ("analyze_p2.json", "p2", ["analyze"]),
-    ("analyze_p5.json", "p5", ["analyze"]),
-    ("audit_golden_s1.json", "golden", ["audit", "--sample", "20", "--seed", "1"]),
-    ("audit_p2_s1.json", "p2", ["audit", "--sample", "20", "--seed", "1"]),
+    ("analyze_golden.json", "golden", ["analyze"], EXIT_OK),
+    ("analyze_deep.json", "deep", ["analyze"], EXIT_OK),
+    ("analyze_p2.json", "p2", ["analyze"], EXIT_OK),
+    ("analyze_p5.json", "p5", ["analyze"], EXIT_OK),
+    ("audit_golden_s1.json", "golden", AUDIT_S1, EXIT_OK),
+    ("audit_p2_s1.json", "p2", AUDIT_S1, EXIT_OK),
+    # the negative control: a corrupted sigma1 fails
+    # generator-defining-relations, witt-congruence and congruence-grid
+    ("audit_golden_fault_sigma1_s2.json", "golden",
+     ["audit", "--sample", "5", "--seed", "2", "--fault-inject", "sigma1"],
+     EXIT_INVARIANT),
+    # the audit on the non-free branch
+    ("audit_deep_s4.json", "deep", ["audit", "--sample", "3", "--seed", "4"],
+     EXIT_OK),
 ]
 
 
-@pytest.mark.parametrize("stored, config, args", RUNS,
+@pytest.mark.parametrize("stored, config, args, exit_code", RUNS,
                          ids=[r[0].removesuffix(".json") for r in RUNS])
-def test_report_is_byte_identical(stored, config, args, tmp_path, capsys):
+def test_report_is_byte_identical(stored, config, args, exit_code, tmp_path,
+                                  capsys):
     cfg = tmp_path / f"{config}.cfg"
     cfg.write_text(CONFIGS[config])
-    assert main([*args, "--config", str(cfg), "--json"]) == EXIT_OK
+    assert main([*args, "--config", str(cfg), "--json"]) == exit_code
     assert capsys.readouterr().out == (DATA / stored).read_text()
 
 
