@@ -31,7 +31,9 @@ from .galois import (
     compute_sigma1,
     compute_sigma2,
     psi_operators,
+    scaffold_words,
     truncated_exp,
+    word_images,
 )
 from .padic import BaseField, K0Element, wp_membership_guard
 from .pipeline import AnalysisContext, JobConfig, build_context
@@ -48,7 +50,7 @@ from .tower import (
     K2Element,
     hensel_lift,
     scaffold_lambda,
-    uniformizer_k2,
+    uniformizer_exponents,
 )
 from .witt import WittVector2, d_poly
 

@@ -15,10 +15,9 @@ from .galois import (
     Automorphism,
     GroupRingElement,
     automorphism_power,
-    scaffold_index_digits,
+    word_images,
 )
-from .structure import psi_power
-from .tower import ExtensionDesc, K2Element, scaffold_lambda
+from .tower import ExtensionDesc, K2Element, scaffold_lambda, uniformizer_exponents
 
 
 def random_unit(desc: ExtensionDesc, rng: random.Random) -> K2Element:
@@ -108,7 +107,6 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
         f"sigma1(x1, x2) = (x1, x2) (+) (1, 0) mod the maximal ideal; "
         f"floors {wc1.val_floor()}, {wc2.val_floor()}")
 
-    words = [psi_power(a, psi1, psi2, p) for a in range(p2)]
     ok = True
     detail = ""
     for n in range(max(0, samples)):
@@ -116,7 +114,7 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
         images = psi1.orbit(element_with_valuation(desc, rng, t))
         for j in range(p):
             for i in range(p):
-                v = words[i + p * j].on_orbit(images).valuation()
+                v = ctx.words[i + p * j].on_orbit(images).valuation()
                 want = t + j * b2 + i * p * b1
                 if v != want:
                     ok = False
@@ -133,10 +131,10 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
     ok = True
     detail = ""
     for t in range(p2):
-        lam = scaffold_lambda(desc, t)
-        a0, a1dig = scaffold_index_digits(desc, t)
+        k, i, j = uniformizer_exponents(desc, t)
+        lam = desc.monomial(k, i, j)
         for idx, (op, shift, digit) in enumerate(
-            ((psi1, p * b1, a1dig), (psi2, b2, a0))
+            ((psi1, p * b1, i), (psi2, b2, j))
         ):
             img = op(lam)
             landing = t + shift
@@ -278,14 +276,12 @@ def structure_invariant_suite(ctx, rng: random.Random,
             f"divisibility={rep.residue_divides}, w-table={rep.w_equals_d_minus_d0}, "
             f"generator={rep.generator_complete}")
 
-    grid = congruence_audit(desc, tables, ctx.psi1, ctx.psi2, ctx.rho, ctx.rhos)
+    grid = congruence_audit(desc, tables, ctx.words, ctx.rho, ctx.rhos)
     add("congruence-grid", grid.passed,
         f"{grid.pairs} pairs at modulus {grid.modulus}; "
         + ("all hold" if grid.passed else "; ".join(grid.failures[:4])))
 
-    orbit = ctx.psi1.orbit(ctx.rho)
-    images = [psi_power(a, ctx.psi1, ctx.psi2, p).on_orbit(orbit)
-              for a in range(p2)]
+    images = word_images(ctx.words, ctx.rho)
     add("normal-basis-rank", normal_basis_certificate(desc, images),
         "the p^2 operator images of rho are K0-linearly independent")
 

@@ -69,8 +69,28 @@ def parse_monomial(text: str) -> tuple[int, int]:
         ) from None
 
 
+def parse_integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def parse_format(text: str) -> str:
+    if text not in ("text", "json"):
+        raise ValueError(f"unknown output format {text!r}")
+    return text
+
+
+# every config key, with the parser of its value
+CONFIG_KEYS = {"p": parse_integer, "e0": parse_integer, "a1": parse_monomial,
+               "mu": parse_monomial, "precision": parse_integer,
+               "format": parse_format}
+
+
 def parse_config_file(path: str) -> dict:
-    known = {"p", "e0", "a1", "mu", "precision", "format"}
+    """The parsed values of a config file; a malformed line or value is
+    rejected with its file, line and key."""
     out: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -80,11 +100,15 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in out:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+            try:
+                out[key] = CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad value for key {key!r}: {exc}") from None
     return out
 
 
@@ -95,21 +119,17 @@ def load_job_config(args) -> JobConfig:
         raise ValueError(
             "missing required config keys: " + ", ".join(missing)
         )
-    precision = None
-    if "precision" in raw:
-        precision = int(raw["precision"])
+    precision = raw.get("precision")
     if getattr(args, "precision", None) is not None:
         precision = args.precision
     fmt = raw.get("format", "text")
     if getattr(args, "json", False):
         fmt = "json"
-    if fmt not in ("text", "json"):
-        raise ValueError(f"unknown output format {fmt!r}")
     return JobConfig(
-        p=int(raw["p"]),
-        e0=int(raw["e0"]),
-        a1=parse_monomial(raw["a1"]),
-        mu=parse_monomial(raw["mu"]),
+        p=raw["p"],
+        e0=raw["e0"],
+        a1=raw["a1"],
+        mu=raw["mu"],
         precision=precision,
         fmt=fmt,
     )

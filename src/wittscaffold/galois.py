@@ -4,9 +4,10 @@ The generator sigma1 is produced by Hensel-lifting the defining
 Artin-Schreier equations from the seeds x1 + 1 and x2 + D(x1, 1); its
 p-th power fixes K1 and shifts x2 by 1 + (small).  Operators such as
 the scaffold operators psi1, psi2 are elements sum_k c_k T^k of the
-group ring K0[T]/(T^(p^2) - 1) with T = sigma1.  Words in them are ring
-products, computed once; applying any of them to x reads the orbit
-T^k x, built lazily and shared by every element applied to the same x.
+group ring K0[T]/(T^(p^2) - 1) with T = sigma1.  The scaffold is the
+table of p^2 words in them, ring products built once per build;
+applying any of them to x reads the orbit T^k x, built lazily and
+shared by every element applied to the same x.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import factorial
 
 from .errors import InvariantViolation
 from .padic import K0Element
-from .tower import ExtensionDesc, K2Element, hensel_lift, scaffold_index
+from .tower import ExtensionDesc, K2Element, hensel_lift
 from .witt import d_poly
 
 
@@ -185,9 +186,6 @@ class GroupRingElement:
     def _like(self, coeffs) -> "GroupRingElement":
         return GroupRingElement(self.sigma1, self.sigma2, coeffs)
 
-    def zero(self) -> "GroupRingElement":
-        return self._like({})
-
     def one(self) -> "GroupRingElement":
         return self._like({0: self.sigma1.ext.base.one()})
 
@@ -289,6 +287,15 @@ def psi_operators(ext: ExtensionDesc, sigma1: Automorphism,
     return psi1, psi2
 
 
-def scaffold_index_digits(ext: ExtensionDesc, t: int) -> tuple[int, int]:
-    a = scaffold_index(ext, t)
-    return a % ext.p, a // ext.p
+def scaffold_words(psi1: GroupRingElement,
+                   psi2: GroupRingElement) -> list[GroupRingElement]:
+    """The Galois scaffold as one K0-basis of K0[G]: entry a = a1*p + a0
+    is the word psi2^(a1) psi1^(a0), for 0 <= a < p^2."""
+    p = psi1.sigma1.ext.p
+    return [psi2**a1 * psi1**a0 for a1 in range(p) for a0 in range(p)]
+
+
+def word_images(words: list[GroupRingElement], x: K2Element) -> list[K2Element]:
+    """The image of x under every word, all read from one orbit of x."""
+    image = words[0].orbit(x)
+    return [word.on_orbit(image) for word in words]

@@ -29,6 +29,7 @@ from .galois import (
     compute_sigma1,
     compute_sigma2,
     psi_operators,
+    scaffold_words,
 )
 from .structure import (
     ModuleStructureReport,
@@ -37,7 +38,7 @@ from .structure import (
     build_tables,
     rho_family,
 )
-from .tower import ExtensionDesc, K2Element, uniformizer_exponents, uniformizer_k2
+from .tower import ExtensionDesc, K2Element, uniformizer_exponents
 
 
 @dataclass
@@ -89,6 +90,7 @@ class AnalysisContext:
     sigma2: Automorphism
     psi1: GroupRingElement
     psi2: GroupRingElement
+    words: list[GroupRingElement]
     tables: ScaffoldTables
     rho0: K2Element
     rho0_exponents: tuple[int, int, int]
@@ -141,13 +143,15 @@ def _build(config: JobConfig, guard_digits: int,
         sigma1 = audit_mod.corrupt_sigma1(sigma1)
     sigma2 = compute_sigma2(desc, sigma1, check=strict)
     psi1, psi2 = psi_operators(desc, sigma1, sigma2)
+    words = scaffold_words(psi1, psi2)
     tables = build_tables(rd)
-    rho0 = uniformizer_k2(desc, tables.r_b2)
-    rho, rhos = rho_family(desc, tables, psi1, psi2, rho0, check=strict)
+    rho0_exponents = uniformizer_exponents(desc, tables.r_b2)
+    rho0 = desc.monomial(*rho0_exponents)
+    rho, rhos = rho_family(desc, tables, words, rho0, check=strict)
     module_report = None
     if bound.holds and strict:
         module_report = associated_order_and_freeness(
-            desc, tables, psi1, psi2, rho0, bound
+            desc, tables, words, rho0, bound
         )
     return AnalysisContext(
         config=config,
@@ -159,9 +163,10 @@ def _build(config: JobConfig, guard_digits: int,
         sigma2=sigma2,
         psi1=psi1,
         psi2=psi2,
+        words=words,
         tables=tables,
         rho0=rho0,
-        rho0_exponents=uniformizer_exponents(desc, tables.r_b2),
+        rho0_exponents=rho0_exponents,
         rho=rho,
         rhos=rhos,
         module_report=module_report,

@@ -17,7 +17,7 @@ from .errors import (
     InternalDisagreement,
     InvariantViolation,
 )
-from .galois import GroupRingElement
+from .galois import GroupRingElement, word_images
 from .tower import ExtensionDesc, K2Element, scaffold_index
 
 
@@ -85,18 +85,6 @@ def build_tables(rd: RamificationData) -> ScaffoldTables:
     return tables
 
 
-def psi_power(a: int, psi1: GroupRingElement, psi2: GroupRingElement,
-              p: int) -> GroupRingElement:
-    """The operator word psi2^(a1) psi1^(a0) indexed by the base-p digits
-    of a, as a ring product; the zero element for a >= p^2."""
-    if a < 0:
-        raise ValueError("index must be nonnegative")
-    if a >= p * p:
-        return psi1.zero()
-    a0, a1 = a % p, a // p
-    return psi2**a1 * psi1**a0
-
-
 def basis_op_label(tables: ScaffoldTables, j: int) -> str:
     """Printable name of pi0^(-w_j) psi2^(j1) psi1^(j0), psi1 first."""
     j0, j1 = tables.digits(j)
@@ -119,13 +107,12 @@ def basis_op_label(tables: ScaffoldTables, j: int) -> str:
 def rho_family(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
-    psi1: GroupRingElement,
-    psi2: GroupRingElement,
+    words: list[GroupRingElement],
     rho0: K2Element,
     check: bool = True,
 ) -> tuple[K2Element, list[K2Element]]:
     """rho = pi0^d0 * rho0 and the integral basis rho_a =
-    pi0^(-d_a) psi-word(a) rho; the valuations must sweep out a full
+    pi0^(-d_a) words[a] rho; the valuations must sweep out a full
     residue system 0..p^2-1."""
     p = desc.p
     p2 = p * p
@@ -134,9 +121,8 @@ def rho_family(
             f"v2(rho0) = {rho0.valuation()}, expected r(b2) = {tables.r_b2}"
         )
     rho = rho0.scale(desc.base.pi0(tables.d0))
-    images = psi1.orbit(rho)
-    rhos = [psi_power(a, psi1, psi2, p).on_orbit(images)
-            .scale(desc.base.pi0(-tables.d[a])) for a in range(p2)]
+    rhos = [img.scale(desc.base.pi0(-tables.d[a]))
+            for a, img in enumerate(word_images(words, rho))]
     if check:
         vals = [el.valuation() for el in rhos]
         expected = [tables.b_map[a] % p2 for a in range(p2)]
@@ -177,8 +163,7 @@ class ModuleStructureReport:
 def associated_order_and_freeness(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
-    psi1: GroupRingElement,
-    psi2: GroupRingElement,
+    words: list[GroupRingElement],
     rho0: K2Element,
     bound: FreenessBound,
 ) -> ModuleStructureReport:
@@ -187,7 +172,7 @@ def associated_order_and_freeness(
 
     1. the residue r(b2) divides p^2 - 1,
     2. w_j = d_j - d_0 for every j,
-    3. the valuations of pi0^(-w_j) psi-word(j) rho0 cover 0..p^2-1.
+    3. the valuations of pi0^(-w_j) words[j] rho0 cover 0..p^2-1.
     """
     if not bound.holds:
         raise BoundNotSatisfied(
@@ -197,9 +182,8 @@ def associated_order_and_freeness(
     p2 = p * p
     route1 = (p2 - 1) % tables.r_b2 == 0
     route2 = all(tables.w[j] == tables.d[j] - tables.d0 for j in range(p2))
-    images = psi1.orbit(rho0)
-    vals = [psi_power(j, psi1, psi2, p).on_orbit(images)
-            .scale(desc.base.pi0(-tables.w[j])).valuation() for j in range(p2)]
+    vals = [img.scale(desc.base.pi0(-tables.w[j])).valuation()
+            for j, img in enumerate(word_images(words, rho0))]
     route3 = sorted(vals) == list(range(p2))
     if not (route1 == route2 == route3):
         raise InternalDisagreement(
@@ -228,25 +212,16 @@ class CongruenceAuditReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def as_dict(self):
-        return {
-            "modulus": self.modulus,
-            "pairs": self.pairs,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
-
 
 def congruence_audit(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
-    psi1: GroupRingElement,
-    psi2: GroupRingElement,
+    words: list[GroupRingElement],
     rho: K2Element,
     rhos: list[K2Element],
 ) -> CongruenceAuditReport:
     """Check, over the whole (j, r) grid, the congruences and membership
-    claims that make pi0^(-w_j) psi-word(j) an associated-order basis:
+    claims that make pi0^(-w_j) words[j] an associated-order basis:
 
     * for j+r < p^2, pi0^(d0-d_j)(word_j rho_r - pi0^(d_{j+r}-d_r) rho_{j+r})
       vanishes modulo the stated modulus, exactly so when adding j and r
@@ -262,9 +237,8 @@ def congruence_audit(
     modulus = p2 * e0 - p * b2 - (p2 - p + 1) * b1
     d, w, d0 = tables.d, tables.w, tables.d0
     failures: list[str] = []
-    orbits = [psi1.orbit(el) for el in rhos]
-    for j in range(p2):
-        word = psi_power(j, psi1, psi2, p)
+    orbits = [words[0].orbit(el) for el in rhos]
+    for j, word in enumerate(words):
         j0, j1 = tables.digits(j)
         for r in range(p2):
             x = word.on_orbit(orbits[r])

@@ -428,12 +428,6 @@ def uniformizer_exponents(ext: ExtensionDesc, r: int) -> tuple[int, int, int]:
     return (r + i * p * ext.b1 + j * ext.b2) // (p * p), i, j
 
 
-def uniformizer_k2(ext: ExtensionDesc, r: int) -> K2Element:
-    """A monomial of K2 with valuation the least nonnegative residue of
-    r modulo p^2."""
-    return ext.monomial(*uniformizer_exponents(ext, r % ext.p**2))
-
-
 def scaffold_lambda(ext: ExtensionDesc, t: int) -> K2Element:
     """The monomial of valuation exactly t whose quotient by any other
     of the family with congruent index lies in K0."""

@@ -30,7 +30,8 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-BOX = [(e0, b1, m) for e0 in range(30) for b1 in range(12) for m in range(8)]
+from tests_helpers import CENSUS_BOX
+
 REFERENCE_DIGITS = 16
 COMMANDS = {
     "analyze": ["analyze", "--json"],
@@ -43,7 +44,7 @@ def constructible(p: int) -> list[tuple[int, int, int]]:
     from wittscaffold.errors import ValidationFailure
 
     out = []
-    for e0, b1, m in BOX:
+    for e0, b1, m in CENSUS_BOX:
         if e0 < 1:
             continue
         try:

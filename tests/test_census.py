@@ -20,9 +20,9 @@ import random
 
 import pytest
 
+from tests_helpers import CENSUS_BOX
 from wittscaffold.cli import EXIT_OK, EXIT_VALIDATION, main
 
-BOX = [(e0, b1, m) for e0 in range(30) for b1 in range(12) for m in range(8)]
 # passing configs in the box, and the size of the analyzed sample of
 # them; p = 5 analyses take about 0.8 s each, so fewer are drawn
 PASSING = {2: 243, 3: 197, 5: 110}
@@ -45,7 +45,7 @@ def config_file(tmp_path, p, e0, b1, m):
 def test_census(p, tmp_path, capsys):
     passing = []
     nonfree = []
-    for e0, b1, m in BOX:
+    for e0, b1, m in CENSUS_BOX:
         rc = main(["validate", "--config", config_file(tmp_path, p, e0, b1, m),
                    "--json"])
         captured = capsys.readouterr()

@@ -308,6 +308,29 @@ class TestInputGaps:
         assert f"{path}:6: duplicate key 'p'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key, value, lineno, message", [
+        ("p", "abc", 2, "expected an integer, got 'abc'"),
+        ("e0", "6.5", 3, "expected an integer, got '6.5'"),
+        ("a1", "pi0^x", 4, "cannot parse field element 'pi0^x'"),
+        ("mu", "pi1^-1", 5, "cannot parse field element 'pi1^-1'"),
+        ("precision", "abc", 6, "expected an integer, got 'abc'"),
+        ("format", "xml", 7, "unknown output format 'xml'"),
+    ])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, key,
+                                               value, lineno, message):
+        # a bad integer used to surface as int()'s own message, and a bad
+        # monomial or format without the file or line it came from
+        path = tmp_path / "bad.cfg"
+        lines = EXAMPLE_CFG.splitlines() + ["precision = 120", "format = text"]
+        path.write_text("".join(
+            f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+            for line in lines))
+        assert main(["validate", "--config", str(path), "--json"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (f"{path}:{lineno}: bad value for key {key!r}: {message}"
+                in captured.err)
+        assert captured.out == ""
+
     def test_negative_sample_rejected(self, example_cfg, capsys):
         rc = main(["audit", "--config", example_cfg, "--sample", "-3", "--json"])
         assert rc == EXIT_VALIDATION

@@ -11,11 +11,9 @@ from wittscaffold.galois import (
     compute_sigma2_direct,
     k0_binomial,
     psi_operators,
-    scaffold_index,
-    scaffold_index_digits,
     truncated_exp,
 )
-from wittscaffold.tower import scaffold_lambda, uniformizer_k2
+from wittscaffold.tower import scaffold_index, scaffold_lambda, uniformizer_exponents
 from wittscaffold.witt import WittVector2, d_poly
 
 
@@ -136,7 +134,7 @@ class TestPsiOperators(object):
 
     def test_shift_table_values(self, ctx5):
         desc, _, _, psi1, psi2 = ctx5
-        pi2 = uniformizer_k2(desc, 1)
+        pi2 = scaffold_lambda(desc, 1)
         assert psi1(pi2).valuation() == 4  # 1 + p*b1
         assert psi2(pi2).valuation() == 11  # 1 + b2
 
@@ -159,12 +157,10 @@ class TestPsiOperators(object):
 
     def test_index_map_digits_name_the_monomial(self, ctx5):
         desc, _, _, _, _ = ctx5
-        from wittscaffold.tower import uniformizer_exponents
-
         for t in range(9):
-            a0, a1 = scaffold_index_digits(desc, t)
-            _, i, j = uniformizer_exponents(desc, t)
-            assert (a0, a1) == (j, i)
+            k, i, j = uniformizer_exponents(desc, t)
+            assert scaffold_index(desc, t) == i * desc.p + j
+            assert desc.monomial(k, i, j).valuation() == t
 
     def test_digit_drop_behaviour(self, ctx5):
         desc, _, _, psi1, psi2 = ctx5
@@ -172,20 +168,20 @@ class TestPsiOperators(object):
         c = rd.precision_c
         for t in range(9):
             lam = scaffold_lambda(desc, t)
-            a0, a1 = scaffold_index_digits(desc, t)
+            _, i, j = uniformizer_exponents(desc, t)
             img1, img2 = psi1(lam), psi2(lam)
-            if a1 >= 1:
+            if i >= 1:
                 assert img1.valuation() == t + 3
             else:
                 assert img1.is_zero() or img1.val_floor() >= t + 3 + c
-            if a0 >= 1:
+            if j >= 1:
                 assert img2.valuation() == t + 10
             else:
                 assert img2.is_zero() or img2.val_floor() >= t + 10 + c
 
     def test_psi_power_growths(self, ctx5):
         desc, _, _, psi1, psi2 = ctx5
-        rho = uniformizer_k2(desc, 1) * desc.pi0()
+        rho = scaffold_lambda(desc, 1) * desc.pi0()
         assert rho.valuation() == 10
         lhs = psi1(psi1(psi1(rho)))
         assert lhs.valuation() == 20  # 2*b2 under the structural bound

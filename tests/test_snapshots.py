@@ -7,8 +7,9 @@ output of the code before K2 products and linear combinations became
 fused K0 sums of products.  The fault-injected golden audit and the
 deep audit are the outputs of the code before the K2 basis change, the
 residue index and the resolvability rule each got one implementation.
-Any change of representation must reproduce them byte for byte, with
-the same exit code.
+The p = 5 audit is the output of the code before the scaffold words
+became one table built once per build.  Any change of representation
+must reproduce them byte for byte, with the same exit code.
 """
 
 from pathlib import Path
@@ -46,6 +47,9 @@ RUNS = [
      EXIT_INVARIANT),
     # the audit on the non-free branch
     ("audit_deep_s4.json", "deep", ["audit", "--sample", "3", "--seed", "4"],
+     EXIT_OK),
+    # the congruence grid, shift law and normal-basis rank at p = 5
+    ("audit_p5_s3.json", "p5", ["audit", "--sample", "1", "--seed", "3"],
      EXIT_OK),
 ]
 

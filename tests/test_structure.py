@@ -6,7 +6,13 @@ from wittscaffold.construction import (
     ramification_data,
 )
 from wittscaffold.errors import BoundNotSatisfied, InvariantViolation
-from wittscaffold.galois import compute_sigma1, compute_sigma2, psi_operators
+from wittscaffold.galois import (
+    compute_sigma1,
+    compute_sigma2,
+    psi_operators,
+    scaffold_words,
+    word_images,
+)
 from wittscaffold.structure import (
     associated_order_and_freeness,
     basis_op_label,
@@ -14,11 +20,10 @@ from wittscaffold.structure import (
     build_tables,
     congruence_audit,
     normal_basis_certificate,
-    psi_power,
     rho_family,
     shift_landing,
 )
-from wittscaffold.tower import uniformizer_k2
+from wittscaffold.tower import scaffold_lambda
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +34,11 @@ def ctx5():
     s1 = compute_sigma1(desc)
     s2 = compute_sigma2(desc, s1)
     psi1, psi2 = psi_operators(desc, s1, s2)
+    words = scaffold_words(psi1, psi2)
     tables = build_tables(rd)
-    rho0 = uniformizer_k2(desc, tables.r_b2)
-    rho, rhos = rho_family(desc, tables, psi1, psi2, rho0)
-    return desc, rd, bound, psi1, psi2, tables, rho0, rho, rhos
+    rho0 = scaffold_lambda(desc, tables.r_b2)
+    rho, rhos = rho_family(desc, tables, words, rho0)
+    return desc, rd, bound, psi1, psi2, tables, rho0, rho, rhos, words
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +49,16 @@ def ctx2():
     s1 = compute_sigma1(desc)
     s2 = compute_sigma2(desc, s1)
     psi1, psi2 = psi_operators(desc, s1, s2)
+    words = scaffold_words(psi1, psi2)
     tables = build_tables(rd)
-    rho0 = uniformizer_k2(desc, tables.r_b2)
-    rho, rhos = rho_family(desc, tables, psi1, psi2, rho0)
-    return desc, rd, bound, psi1, psi2, tables, rho0, rho, rhos
+    rho0 = scaffold_lambda(desc, tables.r_b2)
+    rho, rhos = rho_family(desc, tables, words, rho0)
+    return desc, rd, bound, psi1, psi2, tables, rho0, rho, rhos, words
 
 
 class TestTables:
     def test_example_tables(self, ctx5):
-        _, rd, _, _, _, tables, _, _, _ = ctx5
+        _, rd, _, _, _, tables, _, _, _, _ = ctx5
         assert tables.b_map == [10, 13, 16, 20, 23, 26, 30, 33, 36]
         assert tables.d == [1, 1, 1, 2, 2, 2, 3, 3, 4]
         assert tables.w == [0, 0, 0, 1, 1, 1, 2, 2, 3]
@@ -61,14 +68,14 @@ class TestTables:
         assert tables.a_map == [(-j) % 9 for j in range(9)]
 
     def test_p2_tables(self, ctx2):
-        _, rd, _, _, _, tables, _, _, _ = ctx2
+        _, rd, _, _, _, tables, _, _, _, _ = ctx2
         assert tables.b_map == [5, 7, 10, 12]
         assert tables.d == [1, 1, 2, 3]
         assert tables.w == [0, 0, 1, 2]
 
     def test_brute_force_oracle(self, ctx5, ctx2):
         for ctx in (ctx5, ctx2):
-            _, rd, _, _, _, tables, _, _, _ = ctx
+            _, rd, _, _, _, tables, _, _, _, _ = ctx
             assert brute_force_w(rd) == tables.w
 
     def test_landing_digits(self):
@@ -76,7 +83,7 @@ class TestTables:
         assert shift_landing(1, 10, 3, 8) == 36  # digits (2, 2)
 
     def test_w_upper_bound(self, ctx5):
-        _, _, _, _, _, tables, _, _, _ = ctx5
+        _, _, _, _, _, tables, _, _, _, _ = ctx5
         assert all(
             tables.w[j] <= tables.d[j] - tables.d0 for j in range(9)
         )
@@ -84,16 +91,17 @@ class TestTables:
 
 class TestPsiPower:
     def test_identity_and_zero(self, ctx5):
-        desc, _, _, psi1, psi2, _, _, rho, _ = ctx5
-        op0 = psi_power(0, psi1, psi2, 3)
-        assert (op0(rho) - rho).is_zero()
-        op_zero = psi_power(9, psi1, psi2, 3)
-        assert op_zero(rho).is_zero()
+        desc, _, _, _, _, _, _, rho, _, words = ctx5
+        # one word per index a < p^2; the empty word is the identity and
+        # every other word kills K0 constants
+        assert len(words) == 9
+        assert (words[0](rho) - rho).is_zero()
+        assert all(word(desc.from_int(7)).is_zero() for word in words[1:])
 
     def test_digit_decomposition(self, ctx5):
-        desc, _, _, psi1, psi2, _, _, rho, _ = ctx5
+        desc, _, _, psi1, psi2, _, _, rho, _, words = ctx5
         # index 5 has digits (2, 1): one psi2 after two psi1
-        op = psi_power(5, psi1, psi2, 3)
+        op = words[5]
         diff = op - psi2 * psi1 * psi1
         assert all(c.is_zero() for c in diff.coeffs.values())
         # the ring product reduces T^(p^2) to 1, which the lifted
@@ -104,21 +112,21 @@ class TestPsiPower:
 
 class TestRhoFamily:
     def test_valuations(self, ctx5):
-        _, _, _, _, _, tables, _, rho, rhos = ctx5
+        _, _, _, _, _, tables, _, rho, rhos, _ = ctx5
         assert rho.valuation() == 10
         assert [r.valuation() for r in rhos] == [1, 4, 7, 2, 5, 8, 3, 6, 0]
         assert rhos[8].valuation() == 0  # r(b(8)) = r(36) = 0
 
     def test_rejects_wrong_valuation_seed(self, ctx5):
-        desc, _, _, psi1, psi2, tables, _, _, _ = ctx5
+        desc, _, _, _, _, tables, _, _, _, words = ctx5
         with pytest.raises(InvariantViolation):
-            rho_family(desc, tables, psi1, psi2, desc.pi0())
+            rho_family(desc, tables, words, desc.pi0())
 
 
 class TestFreeness:
     def test_example_report(self, ctx5):
-        desc, _, bound, psi1, psi2, tables, rho0, _, _ = ctx5
-        rep = associated_order_and_freeness(desc, tables, psi1, psi2, rho0, bound)
+        desc, _, bound, _, _, tables, rho0, _, _, words = ctx5
+        rep = associated_order_and_freeness(desc, tables, words, rho0, bound)
         assert rep.free
         assert rep.residue_divides and rep.w_equals_d_minus_d0
         assert rep.generator_complete
@@ -132,8 +140,8 @@ class TestFreeness:
         assert rep.generator is not None
 
     def test_p2_report(self, ctx2):
-        desc, _, bound, psi1, psi2, tables, rho0, _, _ = ctx2
-        rep = associated_order_and_freeness(desc, tables, psi1, psi2, rho0, bound)
+        desc, _, bound, _, _, tables, rho0, _, _, words = ctx2
+        rep = associated_order_and_freeness(desc, tables, words, rho0, bound)
         assert rep.free  # r(b2) = 1 divides p^2 - 1 = 3
         assert sorted(rep.valuation_table) == [0, 1, 2, 3]
 
@@ -145,64 +153,64 @@ class TestFreeness:
         tables = build_tables(rd)
         s1 = compute_sigma1(desc)
         s2 = compute_sigma2(desc, s1)
-        psi1, psi2 = psi_operators(desc, s1, s2)
-        rho0 = uniformizer_k2(desc, tables.r_b2)
+        words = scaffold_words(*psi_operators(desc, s1, s2))
+        rho0 = scaffold_lambda(desc, tables.r_b2)
         with pytest.raises(BoundNotSatisfied):
-            associated_order_and_freeness(desc, tables, psi1, psi2, rho0, bound)
+            associated_order_and_freeness(desc, tables, words, rho0, bound)
 
     def test_label_rendering(self, ctx5):
-        _, _, _, _, _, tables, _, _, _ = ctx5
+        _, _, _, _, _, tables, _, _, _, _ = ctx5
         assert basis_op_label(tables, 0) == "1"
         assert basis_op_label(tables, 4) == "pi0^-1*Psi1*Psi2"
 
 
 class TestCongruenceAudit:
     def test_full_grid_example(self, ctx5):
-        desc, _, _, psi1, psi2, tables, _, rho, rhos = ctx5
-        rep = congruence_audit(desc, tables, psi1, psi2, rho, rhos)
+        desc, _, _, _, _, tables, _, rho, rhos, words = ctx5
+        rep = congruence_audit(desc, tables, words, rho, rhos)
         assert rep.modulus == 17
         assert rep.pairs == 81
         assert rep.passed, rep.failures[:5]
 
     def test_full_grid_p2(self, ctx2):
-        desc, _, _, psi1, psi2, tables, _, rho, rhos = ctx2
-        rep = congruence_audit(desc, tables, psi1, psi2, rho, rhos)
+        desc, _, _, _, _, tables, _, rho, rhos, words = ctx2
+        rep = congruence_audit(desc, tables, words, rho, rhos)
         assert rep.modulus == 3
         assert rep.passed, rep.failures[:5]
 
     def test_carry_free_pair_is_exact(self, ctx5):
-        desc, _, _, psi1, psi2, tables, _, rho, rhos = ctx5
+        desc, _, _, _, _, tables, _, _, rhos, words = ctx5
         # (j, r) = (1, 1): no base-3 carry in 1 + 1
-        op = psi_power(1, psi1, psi2, 3)
+        op = words[1]
         lhs = op(rhos[1])
         rhs = rhos[2].scale(desc.base.pi0(tables.d[2] - tables.d[1]))
         assert (lhs - rhs).vanishes()
 
     def test_carrying_pair_meets_modulus(self, ctx5):
-        desc, _, _, psi1, psi2, tables, _, rho, rhos = ctx5
+        desc, _, _, _, _, tables, _, _, rhos, words = ctx5
         # (j, r) = (2, 1): 2 + 1 carries in base 3
-        op = psi_power(2, psi1, psi2, 3)
+        op = words[2]
         lhs = op(rhos[1])
         rhs = rhos[3].scale(desc.base.pi0(tables.d[3] - tables.d[1]))
         diff = (lhs - rhs).scale(desc.base.pi0(tables.d0 - tables.d[2]))
         assert diff.val_floor() >= 17
 
     def test_high_index_lands_in_maximal_ideal(self, ctx5):
-        desc, _, _, psi1, psi2, tables, _, rho, rhos = ctx5
+        desc, _, _, _, _, tables, _, _, rhos, words = ctx5
         # j = r = 8: j + r >= 9 and the high digits overflow
-        op = psi_power(8, psi1, psi2, 3)
+        op = words[8]
         el = op(rhos[8]).scale(desc.base.pi0(tables.d0 - tables.d[8]))
         assert el.val_floor() >= 1
 
 
 class TestNormalBasis:
     def test_rank_certificate(self, ctx5):
-        desc, _, _, psi1, psi2, _, _, rho, _ = ctx5
-        images = [psi_power(a, psi1, psi2, 3)(rho) for a in range(9)]
+        desc, _, _, _, _, _, _, rho, _, words = ctx5
+        images = word_images(words, rho)
         assert normal_basis_certificate(desc, images)
 
     def test_dependent_family_is_rejected(self, ctx5):
-        desc, _, _, _, _, _, _, rho, _ = ctx5
+        desc, _, _, _, _, _, _, rho, _, _ = ctx5
         images = [rho for _ in range(9)]
         assert not normal_basis_certificate(desc, images)
 
@@ -254,11 +262,11 @@ class TestNonFreeInstance:
         assert tables.w[3] == tables.d[3] - tables.d0 - 1
         s1 = compute_sigma1(desc)
         s2 = compute_sigma2(desc, s1)
-        psi1, psi2 = psi_operators(desc, s1, s2)
-        rho0 = uniformizer_k2(desc, tables.r_b2)
-        rho, rhos = rho_family(desc, tables, psi1, psi2, rho0)
+        words = scaffold_words(*psi_operators(desc, s1, s2))
+        rho0 = scaffold_lambda(desc, tables.r_b2)
+        rho, rhos = rho_family(desc, tables, words, rho0)
         assert sorted(r.valuation() for r in rhos) == list(range(9))
-        rep = associated_order_and_freeness(desc, tables, psi1, psi2, rho0, bound)
+        rep = associated_order_and_freeness(desc, tables, words, rho0, bound)
         assert not rep.free
         assert not rep.residue_divides
         assert not rep.w_equals_d_minus_d0

@@ -9,7 +9,6 @@ from wittscaffold.tower import (
     hensel_lift,
     scaffold_lambda,
     uniformizer_exponents,
-    uniformizer_k2,
 )
 from wittscaffold.witt import d_poly
 
@@ -114,14 +113,14 @@ class TestValuation:
 class TestUniformizer:
     def test_example_residue_one(self, ext):
         assert uniformizer_exponents(ext, 1) == (3, 2, 2)
-        assert uniformizer_k2(ext, 1).valuation() == 1
+        assert scaffold_lambda(ext, 1).valuation() == 1
 
     def test_residue_zero_is_constant(self, ext):
         assert uniformizer_exponents(ext, 0) == (0, 0, 0)
-        assert uniformizer_k2(ext, 0) == ext.one()
+        assert scaffold_lambda(ext, 0) == ext.one()
 
     def test_top_residue(self, ext):
-        u = uniformizer_k2(ext, 8)
+        u = scaffold_lambda(ext, 8)
         assert u.valuation() == 8
 
     def test_lambda_family_exact_valuations(self, ext):

@@ -2,6 +2,11 @@
 
 from wittscaffold.audit import element_with_valuation, random_unit
 
+# the census box: every (e0, b1, m) with e0 < 30, b1 < 12 and m < 8,
+# for the configs a1 = pi0^-b1, mu = pi0^-m
+CENSUS_BOX = [(e0, b1, m) for e0 in range(30) for b1 in range(12)
+              for m in range(8)]
+
 
 def random_k2(ext, rng, span=2):
     el = ext.zero()
@@ -14,4 +19,4 @@ def random_k2(ext, rng, span=2):
     return el
 
 
-__all__ = ["element_with_valuation", "random_unit", "random_k2"]
+__all__ = ["CENSUS_BOX", "element_with_valuation", "random_unit", "random_k2"]
