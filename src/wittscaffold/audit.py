@@ -15,7 +15,7 @@ from .galois import (
     Automorphism,
     GroupRingElement,
     automorphism_power,
-    word_images,
+    relation_residuals,
 )
 from .tower import ExtensionDesc, K2Element, scaffold_lambda, uniformizer_exponents
 
@@ -57,7 +57,6 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
     s1, s2 = ctx.sigma1, ctx.sigma2
     psi1, psi2 = ctx.psi1, ctx.psi2
     x1, x2 = desc.x1(), desc.x2()
-    a1k = desc.from_k0(desc.a1)
     results: list[Check] = []
 
     def add(name, passed, detail):
@@ -65,9 +64,7 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
 
     from .witt import WittVector2, d_poly
 
-    r1 = s1.image_x1**p - s1.image_x1 - a1k
-    r2 = (s1.image_x2**p - s1.image_x2
-          - (desc.from_k0(desc.a2) + d_poly(s1.image_x1, a1k, p)))
+    r1, r2 = relation_residuals(s1)
     add("generator-defining-relations",
         r1.vanishes() and r2.vanishes(),
         f"residual floors {r1.val_floor()}, {r2.val_floor()} >= {target}")
@@ -171,11 +168,11 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
     add("psi2-pth-power-growth", ok,
         detail or f"v2(psi2^p x) >= p^2 e0 + v2(x) on {samples} samples")
 
-    rho = ctx.rho
-    lhs = rho
-    for _ in range(p):
+    # psi1 rho and psi2 rho are the images of rho under words 1 and p
+    lhs = ctx.rho_images[1]
+    for _ in range(p - 1):
         lhs = psi1(lhs)
-    diff = lhs - psi2(rho)
+    diff = lhs - ctx.rho_images[p]
     mod = p2 * e0 + p * b1 - (p - 1) * b2
     add("psi1-pth-power-congruence", diff.val_floor() >= mod,
         f"v2(psi1^p rho - psi2 rho) >= {diff.val_floor()}, modulus {mod}")
@@ -276,13 +273,12 @@ def structure_invariant_suite(ctx, rng: random.Random,
             f"divisibility={rep.residue_divides}, w-table={rep.w_equals_d_minus_d0}, "
             f"generator={rep.generator_complete}")
 
-    grid = congruence_audit(desc, tables, ctx.words, ctx.rho, ctx.rhos)
+    grid = congruence_audit(desc, tables, ctx.words, ctx.rhos)
     add("congruence-grid", grid.passed,
         f"{grid.pairs} pairs at modulus {grid.modulus}; "
         + ("all hold" if grid.passed else "; ".join(grid.failures[:4])))
 
-    images = word_images(ctx.words, ctx.rho)
-    add("normal-basis-rank", normal_basis_certificate(desc, images),
+    add("normal-basis-rank", normal_basis_certificate(desc, ctx.rho_images),
         "the p^2 operator images of rho are K0-linearly independent")
 
     return results

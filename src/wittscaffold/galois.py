@@ -73,16 +73,23 @@ def automorphism_power(auto: Automorphism, n: int) -> Automorphism:
     return result
 
 
+def relation_residuals(auto: Automorphism) -> tuple[K2Element, K2Element]:
+    """The residuals r1, r2 of both defining Artin-Schreier relations at
+    the images of x1 and x2: X^p - X - a1 and X^p - X - (a2 + D(x1, a1))."""
+    ext = auto.ext
+    p = ext.p
+    a1 = ext.from_k0(ext.a1)
+    r1 = auto.image_x1**p - auto.image_x1 - a1
+    r2 = (auto.image_x2**p - auto.image_x2
+          - (ext.from_k0(ext.a2) + d_poly(auto.image_x1, a1, p)))
+    return r1, r2
+
+
 def verify_automorphism(auto: Automorphism) -> None:
     """Check that the images satisfy both defining Artin-Schreier
     relations to the working target; raises InvariantViolation."""
     ext = auto.ext
-    p = ext.p
-    a1 = ext.from_k0(ext.a1)
-    a2 = ext.from_k0(ext.a2)
-    r1 = auto.image_x1**p - auto.image_x1 - a1
-    r2 = auto.image_x2**p - auto.image_x2 - (a2 + d_poly(auto.image_x1, a1, p))
-    for name, r in (("x1", r1), ("x2", r2)):
+    for name, r in zip(("x1", "x2"), relation_residuals(auto)):
         if r.val_floor() < ext.target_v2:
             raise InvariantViolation(
                 f"image of {name} fails its defining relation: residual "
@@ -90,9 +97,9 @@ def verify_automorphism(auto: Automorphism) -> None:
             )
 
 
-def compute_sigma1(ext: ExtensionDesc, check: bool = True) -> Automorphism:
+def compute_sigma1(ext: ExtensionDesc) -> Automorphism:
     """The degree-p^2 generator: sends x1 to x1 + 1 + eps and x2 to
-    x2 + D(x1, 1) + (small)."""
+    x2 + D(x1, 1) + (small), both verified."""
     p = ext.p
     x1 = ext.x1()
     x2 = ext.x2()
@@ -102,22 +109,19 @@ def compute_sigma1(ext: ExtensionDesc, check: bool = True) -> Automorphism:
     c1 = d_poly(x1, ext.one(), p)
     image_x2 = hensel_lift(a2 + d_poly(image_x1, a1, p), x2 + c1)
     auto = Automorphism(ext, image_x1, image_x2)
-    if check:
-        eps_val = (image_x1 - x1 - 1).valuation()
-        expected = p**2 * ext.base.e0 - p * (p - 1) * ext.b1
-        if eps_val != expected:
-            raise InvariantViolation(
-                f"v2(eps) = {eps_val}, expected {expected}"
-            )
-        if (image_x2 - x2 - c1).val_floor() <= 0:
-            raise InvariantViolation("x2-image correction is not small")
-        verify_automorphism(auto)
+    eps_val = (image_x1 - x1 - 1).valuation()
+    expected = p**2 * ext.base.e0 - p * (p - 1) * ext.b1
+    if eps_val != expected:
+        raise InvariantViolation(f"v2(eps) = {eps_val}, expected {expected}")
+    if (image_x2 - x2 - c1).val_floor() <= 0:
+        raise InvariantViolation("x2-image correction is not small")
+    verify_automorphism(auto)
     return auto
 
 
-def compute_sigma2_direct(ext: ExtensionDesc, check: bool = True) -> Automorphism:
-    """The generator of the subgroup fixing K1, lifted directly: x1 is
-    fixed, x2 goes to x2 + 1 + delta."""
+def compute_sigma2_direct(ext: ExtensionDesc) -> Automorphism:
+    """The generator of the subgroup fixing K1, lifted directly and
+    verified: x1 is fixed, x2 goes to x2 + 1 + delta."""
     p = ext.p
     x1 = ext.x1()
     x2 = ext.x2()
@@ -125,32 +129,29 @@ def compute_sigma2_direct(ext: ExtensionDesc, check: bool = True) -> Automorphis
     a2 = ext.from_k0(ext.a2)
     image_x2 = hensel_lift(a2 + d_poly(x1, a1, p), x2 + 1)
     auto = Automorphism(ext, x1, image_x2)
-    if check:
-        delta_floor = (image_x2 - x2 - 1).val_floor()
-        bound = p**2 * ext.base.e0 + (p - 1) * p * ext.a2.valuation()
-        if delta_floor < bound:
-            raise InvariantViolation(
-                f"v2(delta) = {delta_floor} below the bound {bound}"
-            )
-        verify_automorphism(auto)
+    delta_floor = (image_x2 - x2 - 1).val_floor()
+    bound = p**2 * ext.base.e0 + (p - 1) * p * ext.a2.valuation()
+    if delta_floor < bound:
+        raise InvariantViolation(
+            f"v2(delta) = {delta_floor} below the bound {bound}"
+        )
+    verify_automorphism(auto)
     return auto
 
 
-def compute_sigma2(ext: ExtensionDesc, sigma1: Automorphism,
-                   check: bool = True) -> Automorphism:
+def compute_sigma2(ext: ExtensionDesc, sigma1: Automorphism) -> Automorphism:
     """sigma1^p, cross-checked against the direct lift; the direct form
     is returned (cheaper images for repeated application)."""
-    direct = compute_sigma2_direct(ext, check=check)
-    if check:
-        composed = automorphism_power(sigma1, ext.p)
-        for a, b in ((composed.image_x1, direct.image_x1),
-                     (composed.image_x2, direct.image_x2)):
-            d = a - b
-            if d.val_floor() < ext.target_v2:
-                raise InvariantViolation(
-                    "sigma1^p disagrees with the directly lifted generator: "
-                    f"difference valuation {d.val_floor()}"
-                )
+    direct = compute_sigma2_direct(ext)
+    composed = automorphism_power(sigma1, ext.p)
+    for a, b in ((composed.image_x1, direct.image_x1),
+                 (composed.image_x2, direct.image_x2)):
+        d = a - b
+        if d.val_floor() < ext.target_v2:
+            raise InvariantViolation(
+                "sigma1^p disagrees with the directly lifted generator: "
+                f"difference valuation {d.val_floor()}"
+            )
     return direct
 
 

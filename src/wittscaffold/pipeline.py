@@ -95,6 +95,7 @@ class AnalysisContext:
     rho0: K2Element
     rho0_exponents: tuple[int, int, int]
     rho: K2Element
+    rho_images: list[K2Element]
     rhos: list[K2Element]
     module_report: ModuleStructureReport | None
     fault: str | None = None
@@ -111,8 +112,9 @@ def build_context(config: JobConfig,
                   guard_digits: int = DEFAULT_GUARD_DIGITS,
                   fault: str | None = None) -> AnalysisContext:
     """Run the construction pipeline.  ``fault`` deliberately corrupts a
-    stage (skipping construction-time verification) so the audit suites
-    can demonstrate detection.
+    stage once it is built and verified (sigma1 after sigma2 is lifted),
+    skipping the later checks, so the audit suites can demonstrate
+    detection.
 
     A build that raises one of ``PRECISION_ERRORS`` is rebuilt with
     max(1, 2*guard_digits) guard digits, up to ``GUARD_RETRIES`` times;
@@ -138,20 +140,20 @@ def _build(config: JobConfig, guard_digits: int,
     )
     rd = ramification_data(desc)
     bound = check_freeness_bound(rd, desc.base)
-    sigma1 = compute_sigma1(desc, check=strict)
+    sigma1 = compute_sigma1(desc)
+    sigma2 = compute_sigma2(desc, sigma1)
     if fault == "sigma1":
         sigma1 = audit_mod.corrupt_sigma1(sigma1)
-    sigma2 = compute_sigma2(desc, sigma1, check=strict)
     psi1, psi2 = psi_operators(desc, sigma1, sigma2)
     words = scaffold_words(psi1, psi2)
     tables = build_tables(rd)
     rho0_exponents = uniformizer_exponents(desc, tables.r_b2)
     rho0 = desc.monomial(*rho0_exponents)
-    rho, rhos = rho_family(desc, tables, words, rho0, check=strict)
+    rho, rho_images, rhos = rho_family(desc, tables, words, rho0, check=strict)
     module_report = None
     if bound.holds and strict:
         module_report = associated_order_and_freeness(
-            desc, tables, words, rho0, bound
+            desc, tables, rho_images, bound
         )
     return AnalysisContext(
         config=config,
@@ -168,6 +170,7 @@ def _build(config: JobConfig, guard_digits: int,
         rho0=rho0,
         rho0_exponents=rho0_exponents,
         rho=rho,
+        rho_images=rho_images,
         rhos=rhos,
         module_report=module_report,
         fault=fault,

@@ -110,10 +110,10 @@ def rho_family(
     words: list[GroupRingElement],
     rho0: K2Element,
     check: bool = True,
-) -> tuple[K2Element, list[K2Element]]:
-    """rho = pi0^d0 * rho0 and the integral basis rho_a =
-    pi0^(-d_a) words[a] rho; the valuations must sweep out a full
-    residue system 0..p^2-1."""
+) -> tuple[K2Element, list[K2Element], list[K2Element]]:
+    """rho = pi0^d0 * rho0, its images words[a] rho, all read from one
+    orbit, and the integral basis rho_a = pi0^(-d_a) words[a] rho; the
+    valuations must sweep out a full residue system 0..p^2-1."""
     p = desc.p
     p2 = p * p
     if check and rho0.valuation() != tables.r_b2:
@@ -121,8 +121,9 @@ def rho_family(
             f"v2(rho0) = {rho0.valuation()}, expected r(b2) = {tables.r_b2}"
         )
     rho = rho0.scale(desc.base.pi0(tables.d0))
+    images = word_images(words, rho)
     rhos = [img.scale(desc.base.pi0(-tables.d[a]))
-            for a, img in enumerate(word_images(words, rho))]
+            for a, img in enumerate(images)]
     if check:
         vals = [el.valuation() for el in rhos]
         expected = [tables.b_map[a] % p2 for a in range(p2)]
@@ -132,7 +133,7 @@ def rho_family(
             )
         if sorted(vals) != list(range(p2)):
             raise InvariantViolation("rho valuations do not form a residue system")
-    return rho, rhos
+    return rho, images, rhos
 
 
 @dataclass
@@ -143,7 +144,6 @@ class ModuleStructureReport:
     generator_complete: bool
     assoc_order_basis: list[str]
     valuation_table: list[int]
-    generator: K2Element | None
     r_b2: int
 
     def as_dict(self):
@@ -163,8 +163,7 @@ class ModuleStructureReport:
 def associated_order_and_freeness(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
-    words: list[GroupRingElement],
-    rho0: K2Element,
+    images: list[K2Element],
     bound: FreenessBound,
 ) -> ModuleStructureReport:
     """Emit the associated-order basis exponents and decide freeness by
@@ -172,7 +171,9 @@ def associated_order_and_freeness(
 
     1. the residue r(b2) divides p^2 - 1,
     2. w_j = d_j - d_0 for every j,
-    3. the valuations of pi0^(-w_j) words[j] rho0 cover 0..p^2-1.
+    3. the valuations of pi0^(-w_j) words[j] rho0 cover 0..p^2-1, read
+       as pi0^(-d0-w_j) images[j] from the images words[j] rho of
+       rho = pi0^d0 rho0.
     """
     if not bound.holds:
         raise BoundNotSatisfied(
@@ -182,8 +183,8 @@ def associated_order_and_freeness(
     p2 = p * p
     route1 = (p2 - 1) % tables.r_b2 == 0
     route2 = all(tables.w[j] == tables.d[j] - tables.d0 for j in range(p2))
-    vals = [img.scale(desc.base.pi0(-tables.w[j])).valuation()
-            for j, img in enumerate(word_images(words, rho0))]
+    vals = [img.scale(desc.base.pi0(-tables.d0 - tables.w[j])).valuation()
+            for j, img in enumerate(images)]
     route3 = sorted(vals) == list(range(p2))
     if not (route1 == route2 == route3):
         raise InternalDisagreement(
@@ -197,7 +198,6 @@ def associated_order_and_freeness(
         generator_complete=route3,
         assoc_order_basis=[basis_op_label(tables, j) for j in range(p2)],
         valuation_table=vals,
-        generator=rho0 if route1 else None,
         r_b2=tables.r_b2,
     )
 
@@ -217,7 +217,6 @@ def congruence_audit(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
     words: list[GroupRingElement],
-    rho: K2Element,
     rhos: list[K2Element],
 ) -> CongruenceAuditReport:
     """Check, over the whole (j, r) grid, the congruences and membership

@@ -347,12 +347,11 @@ class K2Element:
     def is_zero(self) -> bool:
         return all(c.is_zero() for row in self.rows for c in row)
 
-    def vanishes(self, threshold: int | None = None) -> bool:
+    def vanishes(self) -> bool:
         """True when the value provably sits at or above the working
-        target (or the given v2 level); an element whose digits all
-        vanish still only counts up to its tracked precision."""
-        t = threshold if threshold is not None else self.ext.target_v2
-        return self.val_floor() >= t
+        target; an element whose digits all vanish still only counts up
+        to its tracked precision."""
+        return self.val_floor() >= self.ext.target_v2
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -434,13 +433,13 @@ def scaffold_lambda(ext: ExtensionDesc, t: int) -> K2Element:
     return ext.monomial(*uniformizer_exponents(ext, t))
 
 
-def hensel_lift(c: K2Element, t0: K2Element, trace: list | None = None,
-                target: int | None = None) -> K2Element:
+def hensel_lift(c: K2Element, t0: K2Element,
+                trace: list | None = None) -> K2Element:
     """Newton-iterate f(X) = X^p - X - c to a root from the seed t0.
 
     Requires v2(f(t0)) > 0 and f'(t0) a unit; the residual valuation at
     least doubles per step, and iteration stops once the residual is
-    beyond ``target`` (the extension's padded lift target by default).
+    beyond the extension's padded lift target.
     Each residual valuation is appended to ``trace`` when given.
 
     One step costs t^(p-1), shared by the residual t*t^(p-1) - t - c and
@@ -452,8 +451,7 @@ def hensel_lift(c: K2Element, t0: K2Element, trace: list | None = None,
     """
     ext = c.ext
     p = ext.p
-    if target is None:
-        target = ext.lift_target
+    target = ext.lift_target
     one = ext.one()
     t = t0
     inv = None

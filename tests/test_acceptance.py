@@ -165,8 +165,7 @@ def test_criterion_5_scaffold_law(suites5):
 def test_criterion_6_congruence_audit(ctx5):
     from wittscaffold.structure import congruence_audit
 
-    rep = congruence_audit(ctx5.desc, ctx5.tables, ctx5.words, ctx5.rho,
-                           ctx5.rhos)
+    rep = congruence_audit(ctx5.desc, ctx5.tables, ctx5.words, ctx5.rhos)
     verdict(6, rep.passed and rep.modulus == 17 and rep.pairs == 81,
             f"all 81 (j,r) membership and congruence claims hold at "
             f"modulus {rep.modulus}; carry-free pairs are exact equalities")
@@ -188,7 +187,7 @@ def test_criterion_7_second_scenario(ctx2):
         and ms is not None
         and ms.free
         and (3 % ctx2.tables.r_b2 == 0)
-        and ms.generator is not None
+        and ms.generator_complete
         and suite_ok
         and elapsed < 30
     )

@@ -11,8 +11,10 @@ from wittscaffold.galois import (
     compute_sigma2_direct,
     k0_binomial,
     psi_operators,
+    relation_residuals,
     truncated_exp,
 )
+from wittscaffold.pipeline import JobConfig, build_context
 from wittscaffold.tower import scaffold_index, scaffold_lambda, uniformizer_exponents
 from wittscaffold.witt import WittVector2, d_poly
 
@@ -87,6 +89,35 @@ class TestSigma2(object):
         full = automorphism_power(s1, desc.degree())
         assert (full.image_x1 - desc.x1()).vanishes()
         assert (full.image_x2 - desc.x2()).vanishes()
+
+
+def test_fault_build_still_verifies_both_lifts(monkeypatch):
+    # --fault-inject sigma1 corrupts sigma1 only once sigma2 is lifted and
+    # cross-checked, so a fault build verifies both lifts and sigma1^p
+    from wittscaffold import galois
+
+    verified, powered = [], []
+    verify, power = galois.verify_automorphism, galois.automorphism_power
+
+    def verify_recorded(auto):
+        verified.append(auto)
+        return verify(auto)
+
+    def power_recorded(auto, n):
+        powered.append(auto)
+        return power(auto, n)
+
+    monkeypatch.setattr(galois, "verify_automorphism", verify_recorded)
+    monkeypatch.setattr(galois, "automorphism_power", power_recorded)
+    ctx = build_context(JobConfig(3, 6, (1, -1), (1, -1)), fault="sigma1")
+    assert len(verified) == 2 and len(powered) == 1
+    lifted_sigma1, lifted_sigma2 = verified
+    assert powered[0] is lifted_sigma1
+    assert ctx.sigma2 is lifted_sigma2
+    assert ctx.sigma1 is not lifted_sigma1
+    # the corruption reaches the context: sigma1(x2) fails its relation
+    r1, r2 = relation_residuals(ctx.sigma1)
+    assert r1.vanishes() and not r2.vanishes()
 
 
 def sigma2_element(desc, s1, s2):

@@ -8,7 +8,9 @@ fused K0 sums of products.  The fault-injected golden audit and the
 deep audit are the outputs of the code before the K2 basis change, the
 residue index and the resolvability rule each got one implementation.
 The p = 5 audit is the output of the code before the scaffold words
-became one table built once per build.  Any change of representation
+became one table built once per build.  The p = 5 non-free report is
+the output of the code before the rho family's one orbit of rho came
+to serve freeness route 3 and the audit.  Any change of representation
 must reproduce them byte for byte, with the same exit code.
 """
 
@@ -28,6 +30,9 @@ CONFIGS = {
     "p2": "p = 2\ne0 = 4\na1 = pi0^-1\nmu = pi0^-1\n",
     # the smallest p = 5 case: 625-term products, a 5-term x2 relation
     "p5": "p = 5\ne0 = 7\na1 = pi0^-1\nmu = pi0^-1\n",
+    # the first non-free p = 5 case met in a scan of e0 30-79, b1 < 40,
+    # m < 12: r(b2) = 7, b2 = 182
+    "p5_nonfree": "p = 5\ne0 = 43\na1 = pi0^-7\nmu = pi0^-7\n",
 }
 
 AUDIT_S1 = ["audit", "--sample", "20", "--seed", "1"]
@@ -38,6 +43,8 @@ RUNS = [
     ("analyze_deep.json", "deep", ["analyze"], EXIT_OK),
     ("analyze_p2.json", "p2", ["analyze"], EXIT_OK),
     ("analyze_p5.json", "p5", ["analyze"], EXIT_OK),
+    # freeness route 3 on the non-free branch at p = 5
+    ("analyze_p5_nonfree.json", "p5_nonfree", ["analyze"], EXIT_OK),
     ("audit_golden_s1.json", "golden", AUDIT_S1, EXIT_OK),
     ("audit_p2_s1.json", "p2", AUDIT_S1, EXIT_OK),
     # the negative control: a corrupted sigma1 fails
