@@ -21,13 +21,21 @@ substitution: each digit vector is packed into one big integer, one
 integer product gives the 2*e0 - 1 convolution sums, and the upper ones
 fold back through p * unit before the e0 digits are read out.
 
+A product with a monomial c * pi0^k (every digit past digit 0 zero)
+needs no packing: it scales the other operand's digits by c, and by
+c = 1 at an unchanged relative precision it keeps them as they are.
+
 Sums of products, such as the coefficients of K2 products and of
 K0-linear combinations in K2, go through ``dots``.  A sum's precision
 is the minimum over its terms, so a whole sum of products is one packed
 integer sum with one reduction, with the same digits, shift and
 precision as adding the products one at a time.  Only a sum that is
 zero at its precision is added term by term, because the shift of a
-computed zero depends on the order of the additions.
+computed zero depends on the order of the additions.  Each element
+keeps its packed form as a cache for the next sum: the field holds one
+slot width that only grows, so the operands that recur (automorphism
+tables, operator coefficients, orbit images) are packed about once per
+field rather than once per sum.
 
 Valuations are exact: the term valuations e0*v_p(d_i) + i are pairwise
 distinct modulo e0, so the minimum is attained by a unique term and no
@@ -62,7 +70,8 @@ _mod = int.__mod__
 class BaseField:
     """Totally ramified base field Q_p(pi0) with pi0^e0 = p * unit."""
 
-    __slots__ = ("p", "e0", "unit", "prec_digits", "_pu", "_zeros", "_moduli")
+    __slots__ = ("p", "e0", "unit", "prec_digits", "_pu", "_zeros", "_moduli",
+                 "_width")
 
     def __init__(self, p: int, e0: int, unit_digits: int = 1, prec_digits: int = 32):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
@@ -83,6 +92,9 @@ class BaseField:
         self._pu = p * unit_digits
         self._zeros = (0,) * e0
         self._moduli = {}
+        # the slot width of the packed forms that ``dots`` caches on
+        # elements of this field; it only grows
+        self._width = 0
 
     def zero(self) -> "K0Element":
         return self.monomial(0, 0)
@@ -135,15 +147,27 @@ class K0Element:
 
     A nonzero element is normalized (digit 0 a unit), so its valuation is
     ``shift``; a zero keeps the shift its arithmetic produced.
+
+    Invariant: digit i is reduced modulo p^ceil((absprec - shift - i) /
+    e0), as ``make`` leaves it, so every digit lies below
+    ``field._digit_moduli(absprec - shift)[0]``.  ``dots`` sizes its
+    slots by that bound, and a product by a monomial 1 * pi0^k keeps the
+    other operand's digits as they are.  Every direct construction keeps
+    it: zeros, an unchanged relative precision, or digits taken from
+    ``make``.
+
+    ``_packed`` caches (slot width, Kronecker-packed digits) for
+    ``dots``; it is read and replaced whole, never updated in place.
     """
 
-    __slots__ = ("field", "shift", "digits", "absprec")
+    __slots__ = ("field", "shift", "digits", "absprec", "_packed")
 
     def __init__(self, field: BaseField, shift: int, digits: tuple, absprec: int):
         self.field = field
         self.shift = shift
         self.digits = digits
         self.absprec = absprec
+        self._packed = _UNPACKED
 
     @classmethod
     def make(cls, field: BaseField, shift: int, digits, absprec: int) -> "K0Element":
@@ -281,12 +305,28 @@ class K0Element:
                       (other.shift if b[0] else other.absprec) + self.absprec)
         if not (a[0] and b[0]):
             return K0Element(field, shift, field._zeros, absprec)
+        # a monomial c * pi0^k scales the other operand's digits by c; the
+        # product's relative precision is the lesser of the operands', so
+        # for c = 1 and the other operand's own, its digits stay reduced
+        e0 = field.e0
+        if b.count(0) == e0 - 1:
+            c = b[0]
+            rel = self.absprec - self.shift
+        elif a.count(0) == e0 - 1:
+            c = a[0]
+            a = b
+            rel = other.absprec - other.shift
+        else:
+            c = 0
+        if c:
+            if c == 1 and absprec - shift == rel:
+                return K0Element(field, shift, a, absprec)
+            return K0Element.make(field, shift, [d * c for d in a], absprec)
         # Kronecker substitution: pack each digit vector into one integer
         # with w-bit slots, multiply once, fold the upper e0 - 1
         # convolution slots onto the lower ones through pi0^e0 = p * unit
         # while still packed, and read the e0 digits back out.  The slots
         # are wide enough for any folded convolution sum.
-        e0 = field.e0
         pu = field._pu
         w = (max(a).bit_length() + max(b).bit_length() + e0.bit_length()
              + pu.bit_length() + 1)
@@ -360,6 +400,9 @@ class K0Element:
         return f"K0Element({body} + O(pi0^{self.absprec}))"
 
 
+_UNPACKED = (0, 0)  # no slot width is 0
+
+
 def _pack(digits, w: int) -> int:
     """Kronecker packing: digits[k] in the w-bit slot k of one integer."""
     x = 0
@@ -388,18 +431,23 @@ def dots(groups) -> list:
     The precision is the least of the terms' own precisions, as the fold
     computes it, and terms whose shift reaches it add nothing.  The live
     terms are one sum of Kronecker-packed products at their least shift,
-    with one reduction per group: every operand is packed once per call
-    at one slot width, a term of higher shift q*e0 + r is multiplied by
-    (p * unit)^q and moved r slots up, and the upper slots fold back
-    through p * unit while still packed.  A nonzero sum has one
-    normalized form at its precision, so it is the fold's result.  A
+    with one reduction per group: a term of higher shift q*e0 + r is
+    multiplied by (p * unit)^q and moved r slots up, and the upper slots
+    fold back through p * unit while still packed.  A nonzero sum has
+    one normalized form at its precision, so it is the fold's result.  A
     sum that is zero at its precision keeps the shift the fold's order
     of operations gives it, so such a group is folded term by term.
+
+    All groups of a call share one slot width w: the width the call
+    needs, from the operands' relative precisions (which bound their
+    digits), or the field's width if that is larger.  The field's width
+    is then raised to w.  Each operand is read through its cached packed
+    form, and packed again only when that form has another width.  The
+    call uses its own w throughout, so a concurrent call on the same
+    field that raises the width costs a repack, never a narrow slot.
     """
     plans = []
-    left = {}
-    right = {}
-    nmax = span = 0
+    nmax = span = ra = rb = 0
     for terms in groups:
         prec = None
         cand = []
@@ -420,18 +468,19 @@ def dots(groups) -> list:
                     cand.append((a.shift + b.shift, a, b))
             if prec is None or n < prec:
                 prec = n
-        # operands are keyed by identity, so each is packed once per call
+        # ra and rb: the largest relative precisions of live operands
         live = []
-        for s, a, b in cand:
+        for t in cand:
+            s, a, b = t
             if s < prec:
-                ia = id(a)
-                left[ia] = a
-                if b is None:
-                    live.append((s, ia, None))
-                else:
-                    ib = id(b)
-                    right[ib] = b
-                    live.append((s, ia, ib))
+                live.append(t)
+                r = a.absprec - a.shift
+                if r > ra:
+                    ra = r
+                if b is not None:
+                    r = b.absprec - b.shift
+                    if r > rb:
+                        rb = r
         s0 = None
         if live:
             shifts = [t[0] for t in live]
@@ -447,12 +496,15 @@ def dots(groups) -> list:
         # (p * unit)^q for its shift; slot shifts below e0 spread the sum
         # over at most three blocks of e0 slots, which fold back with the
         # factors 1, p * unit and (p * unit)^2
-        amax = max(max(x.digits) for x in left.values())
-        bmax = max((max(x.digits) for x in right.values()), default=1)
+        amax = field._digit_moduli(ra)[0]
+        bmax = field._digit_moduli(rb)[0]
         w = (nmax * e0 * amax * bmax * _pk(pu, span // e0)
              * (1 + pu + pu * pu)).bit_length()
-        left.update(right)
-        packed = {k: _pack(x.digits, w) for k, x in left.items()}
+        fw = field._width
+        if w > fw:
+            field._width = w
+        else:
+            w = fw
         low = w * e0
         lowmask = (1 << low) - 1
         mask = (1 << w) - 1
@@ -460,8 +512,16 @@ def dots(groups) -> list:
     for terms, prec, s0, live in plans:
         if live:
             z = 0
-            for s, ia, ib in live:
-                t = packed[ia] if ib is None else packed[ia] * packed[ib]
+            for s, a, b in live:
+                c = a._packed
+                if c[0] != w:
+                    c = a._packed = (w, _pack(a.digits, w))
+                t = c[1]
+                if b is not None:
+                    c = b._packed
+                    if c[0] != w:
+                        c = b._packed = (w, _pack(b.digits, w))
+                    t *= c[1]
                 if s != s0:
                     q, r = divmod(s - s0, e0)
                     z += (t * _pk(pu, q)) << (w * r)

@@ -94,7 +94,6 @@ class AnalysisContext:
     tables: ScaffoldTables
     rho0: K2Element
     rho0_exponents: tuple[int, int, int]
-    rho: K2Element
     rho_images: list[K2Element]
     rhos: list[K2Element]
     module_report: ModuleStructureReport | None
@@ -149,7 +148,7 @@ def _build(config: JobConfig, guard_digits: int,
     tables = build_tables(rd)
     rho0_exponents = uniformizer_exponents(desc, tables.r_b2)
     rho0 = desc.monomial(*rho0_exponents)
-    rho, rho_images, rhos = rho_family(desc, tables, words, rho0, check=strict)
+    rho_images, rhos = rho_family(desc, tables, words, rho0, check=strict)
     module_report = None
     if bound.holds and strict:
         module_report = associated_order_and_freeness(
@@ -169,7 +168,6 @@ def _build(config: JobConfig, guard_digits: int,
         tables=tables,
         rho0=rho0,
         rho0_exponents=rho0_exponents,
-        rho=rho,
         rho_images=rho_images,
         rhos=rhos,
         module_report=module_report,

@@ -110,8 +110,8 @@ def rho_family(
     words: list[GroupRingElement],
     rho0: K2Element,
     check: bool = True,
-) -> tuple[K2Element, list[K2Element], list[K2Element]]:
-    """rho = pi0^d0 * rho0, its images words[a] rho, all read from one
+) -> tuple[list[K2Element], list[K2Element]]:
+    """The images words[a] rho of rho = pi0^d0 * rho0, all read from one
     orbit, and the integral basis rho_a = pi0^(-d_a) words[a] rho; the
     valuations must sweep out a full residue system 0..p^2-1."""
     p = desc.p
@@ -133,7 +133,7 @@ def rho_family(
             )
         if sorted(vals) != list(range(p2)):
             raise InvariantViolation("rho valuations do not form a residue system")
-    return rho, images, rhos
+    return images, rhos
 
 
 @dataclass

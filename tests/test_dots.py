@@ -6,22 +6,33 @@ and sums (``K0Element.__add__``) returns: the same shift, digits and
 absolute precision.  Seeded groups mix full and degraded precisions,
 negative shifts, structural and computed zeros, plain terms and forced
 cancellation, alone and as several groups that share one packing.
+
+Operands keep their packed form between calls, at the field's slot
+width, which only grows.  The widened case runs every call a second
+time after one call with a wide shift span has raised that width, so
+every operand packed before is read at an older width.  Threads that
+share a field and its operands race on that width and on the cached
+packs, and must still get the fold's results.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
 from wittscaffold import padic
 from wittscaffold.padic import BaseField, K0Element, dots
 
-# (p, e0, Eisenstein unit, prec_digits, single sums, shared calls)
+# (p, e0, Eisenstein unit, prec_digits, single sums, shared calls,
+# widened)
 CASES = [
-    (2, 4, 1, 12, 700, 60),
-    (3, 6, 1, 8, 700, 60),
-    (3, 22, 1, 4, 300, 30),
-    (5, 7, 1, 6, 700, 60),
-    (3, 5, 2, 8, 700, 60),
+    (2, 4, 1, 12, 700, 60, False),
+    (3, 6, 1, 8, 700, 60, False),
+    (3, 22, 1, 4, 300, 30, False),
+    (5, 7, 1, 6, 700, 60, False),
+    (3, 5, 2, 8, 700, 60, False),
+    (3, 6, 1, 8, 300, 30, True),
 ]
 
 
@@ -79,9 +90,11 @@ def random_group(f, rng, pool):
     return terms
 
 
-@pytest.mark.parametrize("p, e0, unit, prec, singles, shared", CASES,
-                         ids=[f"p{c[0]}-e0{c[1]}-u{c[2]}" for c in CASES])
-def test_dots_is_the_left_fold(p, e0, unit, prec, singles, shared, monkeypatch):
+@pytest.mark.parametrize("p, e0, unit, prec, singles, shared, widened", CASES,
+                         ids=[f"p{c[0]}-e0{c[1]}-u{c[2]}" + "-widened" * c[6]
+                              for c in CASES])
+def test_dots_is_the_left_fold(p, e0, unit, prec, singles, shared, widened,
+                               monkeypatch):
     folds = []
     fold = padic._fold
 
@@ -98,16 +111,69 @@ def test_dots_is_the_left_fold(p, e0, unit, prec, singles, shared, monkeypatch):
     # several groups on one shared packing (one slot width per call)
     calls += [[random_group(f, rng, pool) for _ in range(rng.randint(2, 12))]
               for _ in range(shared)]
-    for groups in calls:
-        for terms, got in zip(groups, dots(groups), strict=True):
-            want = left_fold(terms)
-            assert state(got) == state(want), terms
-            checked += 1
-            if got.digits[0]:
-                nonzero += 1
-            else:
-                zeros += 1
+    rounds = [calls]
+    if widened:
+        rounds.append(calls)
+    for i, round_calls in enumerate(rounds):
+        if i:
+            # the widest live shift span there is, in more terms than
+            # any random group has, needs wider slots than round 0 used
+            width = f._width
+            x = f.monomial(1 + p, 0)
+            wide = [(x, f.pi0(k)) for k in range(e0 * prec)] * 16
+            assert state(dots([wide])[0]) == state(left_fold(wide))
+            assert f._width > width
+            assert any(0 < y._packed[0] < f._width for y in pool)
+        for groups in round_calls:
+            for terms, got in zip(groups, dots(groups), strict=True):
+                want = left_fold(terms)
+                assert state(got) == state(want), terms
+                checked += 1
+                if got.digits[0]:
+                    nonzero += 1
+                else:
+                    zeros += 1
     # every zero result is the fold's own; most sums take the fused path
     assert len(folds) == zeros > 0
     assert nonzero > 2 * zeros
-    assert checked == singles + sum(len(g) for g in calls[singles:])
+    assert checked == len(rounds) * (
+        singles + sum(len(g) for g in calls[singles:]))
+
+
+def test_threads_sharing_a_field_get_the_left_fold():
+    rng = random.Random(6007)
+    wrong = []
+
+    def work(calls, want, order):
+        for i in order:
+            if [state(x) for x in dots(calls[i])] != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # a fresh field per trial, so that its width grows under the race
+        for _ in range(12):
+            f = BaseField(3, 6, prec_digits=8)
+            pool = [random_element(f, rng) for _ in range(40)]
+            calls = [[random_group(f, rng, pool)
+                      for _ in range(rng.randint(1, 6))] for _ in range(20)]
+            # calls of more and more terms over the widest live span keep
+            # raising the field's width while the other calls run
+            x = f.monomial(4, 0)
+            calls += [[[(x, f.pi0(k)) for k in range(6 * 8)] * n]
+                      for n in (1, 2, 4, 8, 16, 32)]
+            want = [[state(left_fold(terms)) for terms in groups]
+                    for groups in calls]
+            threads = [threading.Thread(target=work, args=(
+                calls, want, rng.sample(range(len(calls)), len(calls))))
+                for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert f._width > 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []

@@ -14,6 +14,9 @@ and in ``k0_reference.RefK0Element`` (one precision per coefficient).
   of the flat model must survive random lifts of the unknown digits,
   recomputed at many more digits.  The reference is run through the
   same check to show that the check detects its overstated precisions.
+* Products by a monomial c * pi0^k, which the flat model computes
+  without packing, must equal the reference product in shift, digits
+  and precision, in both operand orders.
 """
 
 import random
@@ -36,6 +39,14 @@ FULL_CASES = [
     (3, 22, 1, 4, 150, 10),
     (5, 7, 1, 6, 450, 10),
     (3, 5, 2, 8, 200, 10),
+]
+# (p, e0, Eisenstein unit, prec_digits, products); 6,000 in total
+MONOMIAL_CASES = [
+    (2, 4, 1, 12, 1500),
+    (3, 6, 1, 8, 1500),
+    (3, 22, 1, 4, 600),
+    (5, 7, 1, 6, 1500),
+    (3, 5, 2, 8, 900),
 ]
 # (p, e0, prec_digits, chains, chain length); 9,000 ops in total
 DEGRADED_CASES = [
@@ -221,3 +232,55 @@ def test_soundness_check_catches_reference_overstatement():
     # own precision; the lift check above must notice that
     p, e0, prec, chains, length = DEGRADED_CASES[1]
     assert _count_unsound(p, e0, prec, chains, length, use_reference=True) > 0
+
+
+def _monomial(rng, flat):
+    """c * pi0^k with c = 1 or another unit, k of either sign, known to
+    the full or to a degraded relative precision."""
+    p, e0, full = flat.p, flat.e0, flat.e0 * flat.prec_digits
+    k = rng.randrange(-3 * e0, 3 * e0 + 1)
+    c = 1 if rng.random() < 0.5 else rng.randrange(1, p**flat.prec_digits)
+    if c % p == 0:
+        c += 1
+    rel = full if rng.random() < 0.5 else rng.randint(1, full)
+    return K0Element.make(flat, k, [c] + [0] * (e0 - 1), k + rel)
+
+
+def _partner(rng, flat):
+    """A general element at the full or a degraded relative precision,
+    or a zero at some precision."""
+    p, e0, full = flat.p, flat.e0, flat.e0 * flat.prec_digits
+    shift = rng.randrange(-2 * e0, 2 * e0 + 1)
+    rel = full if rng.random() < 0.5 else rng.randint(1, full)
+    if rng.random() < 0.15:
+        return K0Element.make(flat, shift, [0] * e0, shift + rel)
+    digits = [rng.randrange(p**flat.prec_digits) for _ in range(e0)]
+    if rng.random() < 0.3:
+        digits[0] = p * rng.randrange(p ** (flat.prec_digits - 1))
+    return K0Element.make(flat, shift, digits, shift + rel)
+
+
+@pytest.mark.parametrize("p,e0,unit,prec,products", MONOMIAL_CASES)
+def test_monomial_products_match_reference(p, e0, unit, prec, products):
+    flat = BaseField(p, e0, unit_digits=unit, prec_digits=prec)
+    ref = RefField(p, e0, unit_digits=unit, prec_digits=prec)
+    rng = random.Random(3000 * p + e0 + unit)
+    # products by 1 * pi0^k whose relative precision is the partner's
+    # own (digits kept) or lower (digits reduced), and by other units
+    kinds = {"kept": 0, "reduced": 0, "unit": 0, "zero": 0}
+    for _ in range(products):
+        x = _monomial(rng, flat)
+        y = _partner(rng, flat)
+        want = _as_flat(flat, _as_reference(ref, x) * _as_reference(ref, y))
+        for got in (x * y, y * x):
+            assert (got.shift, got.digits, got.absprec) == (
+                want.shift, want.digits, want.absprec), (x, y, got, want)
+        if not (x.digits[0] and y.digits[0]):
+            kinds["zero"] += 1
+        elif x.digits[0] != 1:
+            kinds["unit"] += 1
+        elif x.absprec - x.shift >= y.absprec - y.shift:
+            kinds["kept"] += 1
+        else:
+            kinds["reduced"] += 1
+    assert min(kinds.values()) > products // 20, kinds

@@ -29,37 +29,22 @@ from wittscaffold.tower import scaffold_lambda
 
 @pytest.fixture(scope="module")
 def ctx5():
-    desc, _ = construct_extension(3, 6, (1, -1), (1, -1))
-    rd = ramification_data(desc)
-    bound = check_freeness_bound(rd, desc.base)
-    s1 = compute_sigma1(desc)
-    s2 = compute_sigma2(desc, s1)
-    psi1, psi2 = psi_operators(desc, s1, s2)
-    words = scaffold_words(psi1, psi2)
-    tables = build_tables(rd)
-    rho0 = scaffold_lambda(desc, tables.r_b2)
-    rho, images, rhos = rho_family(desc, tables, words, rho0)
-    return desc, rd, bound, psi1, psi2, tables, rho0, rho, rhos, words, images
+    return build_context(JobConfig(3, 6, (1, -1), (1, -1)))
 
 
 @pytest.fixture(scope="module")
 def ctx2():
-    desc, _ = construct_extension(2, 4, (1, -1), (1, -1))
-    rd = ramification_data(desc)
-    bound = check_freeness_bound(rd, desc.base)
-    s1 = compute_sigma1(desc)
-    s2 = compute_sigma2(desc, s1)
-    psi1, psi2 = psi_operators(desc, s1, s2)
-    words = scaffold_words(psi1, psi2)
-    tables = build_tables(rd)
-    rho0 = scaffold_lambda(desc, tables.r_b2)
-    rho, images, rhos = rho_family(desc, tables, words, rho0)
-    return desc, rd, bound, psi1, psi2, tables, rho0, rho, rhos, words, images
+    return build_context(JobConfig(2, 4, (1, -1), (1, -1)))
+
+
+def generator(ctx):
+    """rho = pi0^d0 * rho0, the generator whose orbit rho_family reads."""
+    return ctx.rho0.scale(ctx.desc.base.pi0(ctx.tables.d0))
 
 
 class TestTables:
     def test_example_tables(self, ctx5):
-        _, rd, _, _, _, tables, _, _, _, _, _ = ctx5
+        tables = ctx5.tables
         assert tables.b_map == [10, 13, 16, 20, 23, 26, 30, 33, 36]
         assert tables.d == [1, 1, 1, 2, 2, 2, 3, 3, 4]
         assert tables.w == [0, 0, 0, 1, 1, 1, 2, 2, 3]
@@ -69,22 +54,21 @@ class TestTables:
         assert tables.a_map == [(-j) % 9 for j in range(9)]
 
     def test_p2_tables(self, ctx2):
-        _, rd, _, _, _, tables, _, _, _, _, _ = ctx2
+        tables = ctx2.tables
         assert tables.b_map == [5, 7, 10, 12]
         assert tables.d == [1, 1, 2, 3]
         assert tables.w == [0, 0, 1, 2]
 
     def test_brute_force_oracle(self, ctx5, ctx2):
         for ctx in (ctx5, ctx2):
-            _, rd, _, _, _, tables, _, _, _, _, _ = ctx
-            assert brute_force_w(rd) == tables.w
+            assert brute_force_w(ctx.rd) == ctx.tables.w
 
     def test_landing_digits(self):
         assert shift_landing(1, 10, 3, 5) == 26  # digits (2, 1)
         assert shift_landing(1, 10, 3, 8) == 36  # digits (2, 2)
 
     def test_w_upper_bound(self, ctx5):
-        _, _, _, _, _, tables, _, _, _, _, _ = ctx5
+        tables = ctx5.tables
         assert all(
             tables.w[j] <= tables.d[j] - tables.d0 for j in range(9)
         )
@@ -92,7 +76,8 @@ class TestTables:
 
 class TestPsiPower:
     def test_identity_and_zero(self, ctx5):
-        desc, _, _, _, _, _, _, rho, _, words, _ = ctx5
+        desc, words = ctx5.desc, ctx5.words
+        rho = generator(ctx5)
         # one word per index a < p^2; the empty word is the identity and
         # every other word kills K0 constants
         assert len(words) == 9
@@ -100,7 +85,8 @@ class TestPsiPower:
         assert all(word(desc.from_int(7)).is_zero() for word in words[1:])
 
     def test_digit_decomposition(self, ctx5):
-        desc, _, _, psi1, psi2, _, _, rho, _, words, _ = ctx5
+        desc, psi1, psi2, words = ctx5.desc, ctx5.psi1, ctx5.psi2, ctx5.words
+        rho = generator(ctx5)
         # index 5 has digits (2, 1): one psi2 after two psi1
         op = words[5]
         diff = op - psi2 * psi1 * psi1
@@ -113,20 +99,21 @@ class TestPsiPower:
 
 class TestRhoFamily:
     def test_valuations(self, ctx5):
-        _, _, _, _, _, tables, _, rho, rhos, _, _ = ctx5
-        assert rho.valuation() == 10
+        rhos = ctx5.rhos
+        assert generator(ctx5).valuation() == 10
         assert [r.valuation() for r in rhos] == [1, 4, 7, 2, 5, 8, 3, 6, 0]
         assert rhos[8].valuation() == 0  # r(b(8)) = r(36) = 0
 
     def test_rejects_wrong_valuation_seed(self, ctx5):
-        desc, _, _, _, _, tables, _, _, _, words, _ = ctx5
+        desc, tables, words = ctx5.desc, ctx5.tables, ctx5.words
         with pytest.raises(InvariantViolation):
             rho_family(desc, tables, words, desc.pi0())
 
 
 class TestFreeness:
     def test_example_report(self, ctx5):
-        desc, _, bound, _, _, tables, _, _, _, _, images = ctx5
+        desc, bound, tables = ctx5.desc, ctx5.bound, ctx5.tables
+        images = ctx5.rho_images
         rep = associated_order_and_freeness(desc, tables, images, bound)
         assert rep.free
         assert rep.residue_divides and rep.w_equals_d_minus_d0
@@ -140,7 +127,8 @@ class TestFreeness:
         assert sorted(rep.valuation_table) == list(range(9))
 
     def test_p2_report(self, ctx2):
-        desc, _, bound, _, _, tables, _, _, _, _, images = ctx2
+        desc, bound, tables = ctx2.desc, ctx2.bound, ctx2.tables
+        images = ctx2.rho_images
         rep = associated_order_and_freeness(desc, tables, images, bound)
         assert rep.free  # r(b2) = 1 divides p^2 - 1 = 3
         assert sorted(rep.valuation_table) == [0, 1, 2, 3]
@@ -155,32 +143,35 @@ class TestFreeness:
         s2 = compute_sigma2(desc, s1)
         words = scaffold_words(*psi_operators(desc, s1, s2))
         rho0 = scaffold_lambda(desc, tables.r_b2)
-        _, images, _ = rho_family(desc, tables, words, rho0)
+        images, _ = rho_family(desc, tables, words, rho0)
         with pytest.raises(BoundNotSatisfied):
             associated_order_and_freeness(desc, tables, images, bound)
 
     def test_label_rendering(self, ctx5):
-        _, _, _, _, _, tables, _, _, _, _, _ = ctx5
+        tables = ctx5.tables
         assert basis_op_label(tables, 0) == "1"
         assert basis_op_label(tables, 4) == "pi0^-1*Psi1*Psi2"
 
 
 class TestCongruenceAudit:
     def test_full_grid_example(self, ctx5):
-        desc, _, _, _, _, tables, _, _, rhos, words, _ = ctx5
+        desc, tables, words = ctx5.desc, ctx5.tables, ctx5.words
+        rhos = ctx5.rhos
         rep = congruence_audit(desc, tables, words, rhos)
         assert rep.modulus == 17
         assert rep.pairs == 81
         assert rep.passed, rep.failures[:5]
 
     def test_full_grid_p2(self, ctx2):
-        desc, _, _, _, _, tables, _, _, rhos, words, _ = ctx2
+        desc, tables, words = ctx2.desc, ctx2.tables, ctx2.words
+        rhos = ctx2.rhos
         rep = congruence_audit(desc, tables, words, rhos)
         assert rep.modulus == 3
         assert rep.passed, rep.failures[:5]
 
     def test_carry_free_pair_is_exact(self, ctx5):
-        desc, _, _, _, _, tables, _, _, rhos, words, _ = ctx5
+        desc, tables, words = ctx5.desc, ctx5.tables, ctx5.words
+        rhos = ctx5.rhos
         # (j, r) = (1, 1): no base-3 carry in 1 + 1
         op = words[1]
         lhs = op(rhos[1])
@@ -188,7 +179,8 @@ class TestCongruenceAudit:
         assert (lhs - rhs).vanishes()
 
     def test_carrying_pair_meets_modulus(self, ctx5):
-        desc, _, _, _, _, tables, _, _, rhos, words, _ = ctx5
+        desc, tables, words = ctx5.desc, ctx5.tables, ctx5.words
+        rhos = ctx5.rhos
         # (j, r) = (2, 1): 2 + 1 carries in base 3
         op = words[2]
         lhs = op(rhos[1])
@@ -197,7 +189,8 @@ class TestCongruenceAudit:
         assert diff.val_floor() >= 17
 
     def test_high_index_lands_in_maximal_ideal(self, ctx5):
-        desc, _, _, _, _, tables, _, _, rhos, words, _ = ctx5
+        desc, tables, words = ctx5.desc, ctx5.tables, ctx5.words
+        rhos = ctx5.rhos
         # j = r = 8: j + r >= 9 and the high digits overflow
         op = words[8]
         el = op(rhos[8]).scale(desc.base.pi0(tables.d0 - tables.d[8]))
@@ -239,10 +232,9 @@ class TestOneOrbitOfRho:
         assert (ctx.module_report.valuation_table
                 == [el.valuation() for el in old_route3])
         # the rho basis from a second orbit of rho
-        rho = ctx.rho0.scale(pi0(tables.d0))
+        rho = generator(ctx)
         old_rhos = [img.scale(pi0(-tables.d[a]))
                     for a, img in enumerate(word_images(words, rho))]
-        assert coefficients(ctx.rho) == coefficients(rho)
         assert ([coefficients(el) for el in ctx.rhos]
                 == [coefficients(el) for el in old_rhos])
         # words 1 and p are psi1 and psi2
@@ -252,11 +244,11 @@ class TestOneOrbitOfRho:
 
 class TestNormalBasis:
     def test_rank_certificate(self, ctx5):
-        desc, _, _, _, _, _, _, _, _, _, images = ctx5
+        desc, images = ctx5.desc, ctx5.rho_images
         assert normal_basis_certificate(desc, images)
 
     def test_dependent_family_is_rejected(self, ctx5):
-        desc, _, _, _, _, _, _, rho, _, _, _ = ctx5
+        desc, rho = ctx5.desc, generator(ctx5)
         images = [rho for _ in range(9)]
         assert not normal_basis_certificate(desc, images)
 
@@ -310,7 +302,7 @@ class TestNonFreeInstance:
         s2 = compute_sigma2(desc, s1)
         words = scaffold_words(*psi_operators(desc, s1, s2))
         rho0 = scaffold_lambda(desc, tables.r_b2)
-        _, images, rhos = rho_family(desc, tables, words, rho0)
+        images, rhos = rho_family(desc, tables, words, rho0)
         assert sorted(r.valuation() for r in rhos) == list(range(9))
         rep = associated_order_and_freeness(desc, tables, images, bound)
         assert not rep.free
