@@ -14,11 +14,22 @@ substitution, ``_substitute_second``: T -> T + m*x1 with m = mu
 (x2 = y2 + mu*x1) or m = -mu (y2 = x2 - mu*x1).  The same fact names
 the monomial of each valuation residue (``scaffold_index``), and one
 rule (``K2Element._resolved``) says when the minimum is exact.
+
+A valuation, valuation floor or precision needs only the valuations and
+precisions of the y-coefficients, and ``_packed_stats`` reads them
+without building a K0 element: the same Horner rule on the coefficients
+packed into integers at one base, where T moves a column and the
+monomials mu and a1 multiply by a digit and shift slots, and on the
+precisions alone.  It requires mu and a1 to be monomials and no nonzero
+coefficient to be known to more relative digits than they are, under
+which its precisions are the term-by-term ones; otherwise the
+statistics are read off ``y_coefficients``.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from .errors import (
     IndeterminateValuation,
@@ -26,7 +37,7 @@ from .errors import (
     NoConvergence,
     PrecisionExhausted,
 )
-from .padic import BaseField, K0Element, dots
+from .padic import BaseField, K0Element, _pack, dots
 
 
 class ExtensionDesc:
@@ -52,6 +63,8 @@ class ExtensionDesc:
         "x2_rel",
         "_zero",
         "_one",
+        "_lane",
+        "_monomials",
     )
 
     def __init__(self, base: BaseField, a1: K0Element, mu: K0Element,
@@ -86,6 +99,8 @@ class ExtensionDesc:
                     for i in range(p) for j in range(p)}
         if len(residues) != p * p:
             raise InvariantViolation("monomial valuations do not cover Z/p^2")
+        self._lane = _lane_constants(self)
+        self._monomials = {}
 
     @property
     def p(self) -> int:
@@ -127,10 +142,16 @@ class ExtensionDesc:
         return self.from_k0(self.base.pi0(k))
 
     def monomial(self, k: int, i: int, j: int) -> "K2Element":
-        """pi0^k * x1^i * y2^j, given on the y-basis."""
-        grid = [[None] * self.p for _ in range(self.p)]
-        grid[i][j] = self.base.pi0(k)
-        return K2Element.from_y_grid(self, grid)
+        """pi0^k * x1^i * y2^j, given on the y-basis.  Built once per
+        extension: elements are immutable and their caches depend only
+        on their value, so every caller can share one."""
+        key = (k, i, j)
+        x = self._monomials.get(key)
+        if x is None:
+            grid = [[None] * self.p for _ in range(self.p)]
+            grid[i][j] = self.base.pi0(k)
+            x = self._monomials[key] = K2Element.from_y_grid(self, grid)
+        return x
 
     def monomial_valuation(self, k: int, i: int, j: int) -> int:
         return self.p**2 * k - i * self.p * self.b1 - j * self.b2
@@ -173,17 +194,19 @@ class K2Element:
 
     # -- linear structure ------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op(self, other) coefficientwise, op a K0 addition or
+        subtraction."""
         other = self._coerce(other)
         if not isinstance(other, K2Element):
             return NotImplemented
         if other.ext is not self.ext:
             raise ValueError("elements of different extensions")
-        rows = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return K2Element(self.ext, rows)
+        return K2Element(self.ext, [list(map(op, ra, rb))
+                                    for ra, rb in zip(self.rows, other.rows)])
+
+    def __add__(self, other):
+        return self._combine(other, K0Element.__add__)
 
     __radd__ = __add__
 
@@ -191,11 +214,10 @@ class K2Element:
         return K2Element(self.ext, [[-c for c in r] for r in self.rows])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
+        return self._combine(other, K0Element.__sub__)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._combine(other, _rsub)
 
     def scale(self, c) -> "K2Element":
         """Multiply by a K0 scalar (or int) coefficientwise."""
@@ -296,6 +318,14 @@ class K2Element:
         return self._scache
 
     def _compute_stats(self):
+        """The statistics from the packed lane ``_packed_stats``, which
+        builds no K0 element.  Its precondition: mu and a1 are monomials
+        and no nonzero coefficient has a relative precision above
+        theirs.  Where it fails, they are read off ``y_coefficients``,
+        with the same result wherever both apply."""
+        return _packed_stats(self) or self._y_stats()
+
+    def _y_stats(self):
         ext = self.ext
         p2 = ext.p**2
         pb1 = ext.p * ext.b1
@@ -407,6 +437,171 @@ def _substitute_second(ext: ExtensionDesc, grid, m: K0Element):
                 add(i, 0, c)
     zero = ext._zero
     return [[zero if c is None else c for c in row] for row in rows]
+
+
+def _rsub(a: K0Element, b: K0Element) -> K0Element:
+    return b - a
+
+
+def _lane_constants(ext: ExtensionDesc):
+    """What ``_packed_stats`` reads of mu and a1, which it needs as
+    monomials c * pi0^v: (c_mu, -v(mu), c_a1, -v(a1), the lesser of
+    their relative precisions, the bit length of a bound on the number
+    and multipliers of the Horner paths into one coefficient), or None
+    when either is no monomial.  v(mu) and v(a1) are negative."""
+    e0 = ext.base.e0
+    mu, a1 = ext.mu, ext.a1
+    if mu.digits.count(0) != e0 - 1 or a1.digits.count(0) != e0 - 1:
+        return None
+    p = ext.p
+    cmu, ca1 = mu.digits[0], a1.digits[0]
+    # a coefficient of column j meets j factors T + mu*x1, and each x1
+    # overflow adds a second path through a1: at most 3^(p-1) paths from
+    # each of the p^2 coefficients, each multiplying by at most
+    # (c_mu*c_a1)^(p-1); with the factor 2, (p * unit)^q bounds the
+    # fold of q blocks of e0 slots in ``_slot_valuation``
+    paths = 2 * p * p * 3 ** (p - 1) * (cmu * ca1) ** (p - 1)
+    return (cmu, -mu.shift, ca1, -a1.shift,
+            min(mu.absprec - mu.shift, a1.absprec - a1.shift),
+            paths.bit_length())
+
+
+def _packed_stats(x: K2Element):
+    """``K2Element._y_stats`` without a K0 element: the Horner rule of
+    ``_substitute_second(ext, x.rows, mu)`` on packed integers for the
+    values and on precisions alone for the precisions, or None when the
+    precondition below fails.
+
+    Every nonzero coefficient is packed at one base B, the least shift
+    plus the pi0 exponent (p-1)*(v(mu) + v(a1)) < 0 of the deepest
+    Horner path, into slots of w bits, none of which can overflow.  A factor
+    T moves a column, mu multiplies by c_mu and moves -v(mu) slots
+    down, and the x1 overflow applies a1 the same way.  This packed
+    value of a coefficient differs from the term-by-term one by
+    multiples of pi0^N only.  Its valuation is B + k, k its lowest
+    nonzero slot, when p does not divide that slot, since every other
+    term lies higher; it is zero at precision N when B + k >= N.
+    Otherwise ``_slot_valuation`` folds it through pi0^e0 = p * unit
+    and reads the e0 digits reduced modulo p^ceil((N - B - r)/e0).
+
+    The precision N of a coefficient is the least N(x_ij) plus pi0
+    exponent over the Horner paths.  That is the term-by-term precision
+    when mu and a1 are monomials and no nonzero x_ij has a relative
+    precision above theirs: a product with a monomial of larger relative
+    precision m has precision N(c) + v(m), sums take the minimum, and
+    neither raises the largest relative precision.  A zero's statistics
+    read its precision only, never its shift, so the order of additions,
+    on which that shift depends, does not matter here."""
+    ext = x.ext
+    lane = ext._lane
+    if lane is None:
+        return None
+    cmu, dmu, ca1, da1, relcap, pathbits = lane
+    field = ext.base
+    e0 = field.e0
+    p = ext.p
+    lo = hi = None
+    rel = 0
+    for row in x.rows:
+        for c in row:
+            if c.digits[0]:
+                s = c.shift
+                r = c.absprec - s
+                if r > relcap:
+                    return None
+                if r > rel:
+                    rel = r
+                if lo is None or s < lo:
+                    lo = s
+                if hi is None or s > hi:
+                    hi = s
+    if lo is None:
+        lo = hi = 0
+    base = lo - (p - 1) * (dmu + da1)
+    w = (pathbits + field._digit_moduli(rel)[0].bit_length()
+         + (hi - base + e0 - 1) // e0 * field._pu.bit_length())
+    smu = w * dmu
+    sa1 = w * da1
+    # one column of the partial sum at a time: packed values and
+    # precisions of its p rows
+    vcols = ncols = None
+    for j in range(p - 1, -1, -1):
+        vg = []
+        ng = []
+        for row in x.rows:
+            c = row[j]
+            vg.append(_pack(c.digits, w) << (w * (c.shift - base))
+                      if c.digits[0] else 0)
+            ng.append(c.absprec)
+        if vcols is None:
+            vcols, ncols = [vg], [ng]
+            continue
+        # times T + mu*x1, with x1^p = x1 + a1, plus the next column
+        vnew, nnew = [], []
+        for vc, nc, va, na in zip(vcols, ncols, [vg] + vcols, [ng] + ncols):
+            top = (vc[-1] * cmu) >> smu
+            vm = [(top * ca1) >> sa1, ((vc[0] * cmu) >> smu) + top]
+            vm += [(v * cmu) >> smu for v in vc[1:-1]]
+            ntop = nc[-1] - dmu
+            nm = [ntop - da1, min(nc[0] - dmu, ntop)]
+            nm += [n - dmu for n in nc[1:-1]]
+            vnew.append(list(map(add, vm, va)))
+            nnew.append(list(map(min, nm, na)))
+        vcols = vnew + [vcols[-1]]
+        ncols = nnew + [ncols[-1]]
+    p2 = p * p
+    pb1 = p * ext.b1
+    mask = (1 << w) - 1
+    det = bound = prec = None
+    for l, (vc, nc) in enumerate(zip(vcols, ncols)):
+        for i, (z, n) in enumerate(zip(vc, nc)):
+            mono = -i * pb1 - l * ext.b2
+            cand = p2 * n + mono
+            if prec is None or cand < prec:
+                prec = cand
+            t = None
+            if z:
+                k = ((z & -z).bit_length() - 1) // w
+                if k < n - base:
+                    if ((z >> (w * k)) & mask) % p:
+                        t = k
+                    else:
+                        t = _slot_valuation(field, z, w, n - base)
+            if t is None:
+                if bound is None or cand < bound:
+                    bound = cand
+            else:
+                cand = p2 * (base + t) + mono
+                if det is None or cand < det:
+                    det = cand
+    return det, bound, prec
+
+
+def _slot_valuation(field: BaseField, z: int, w: int, m: int):
+    """The valuation of sum_k z_k pi0^k, z_k the w-bit slots of z, known
+    to pi0^m, or None when it is zero there: the slots fold through
+    pi0^e0 = p * unit into e0 digits, which are reduced and read as
+    ``K0Element.make`` reads them."""
+    e0 = field.e0
+    p = field.p
+    low = w * e0
+    lowmask = (1 << low) - 1
+    mask = (1 << w) - 1
+    while z >> low:
+        z = (z & lowmask) + field._pu * (z >> low)
+    t = None
+    for r, mod in enumerate(field._digit_moduli(m)):
+        d = ((z >> (w * r)) & mask) % mod
+        if d:
+            v = 0
+            while d % p == 0:
+                d //= p
+                v += 1
+            if t is None or e0 * v + r < t:
+                t = e0 * v + r
+            if not v:
+                break
+    return t
 
 
 def scaffold_index(ext, t: int) -> int:

@@ -1,0 +1,97 @@
+"""Full-box census: ``analyze --json`` on every passing config of the box.
+
+For each prime, every config a1 = pi0^-b1, mu = pi0^-m of the census box
+(e0 < 30, b1 < 12, m < 8) that ``validate`` passes is analyzed in
+process, and one table row per prime is printed:
+
+    | p | passing | free | non-free | exit 3/4 | time |
+
+With ``--digests FILE``, one line per analyzed config is written there:
+p, e0, b1, m, the exit code and the SHA-256 of the exit code and the
+report, so that two trees can be compared config by config (``diff``
+of the two files).  The exit code is 1 when any config exits 3 or 4.
+Run from the repository root (about 6 minutes for all three primes on
+one core):
+
+    PYTHONPATH=src python3 tests/census_full_box.py --primes 2 3 5 --digests digests.txt
+
+The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+from tests_helpers import CENSUS_BOX
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    from wittscaffold.cli import main
+
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def census(p: int, tmp: str):
+    """(row of the table, digest lines) for one prime."""
+    start = time.perf_counter()
+    passing = free = nonfree = failed = 0
+    lines = []
+    for e0, b1, m in CENSUS_BOX:
+        path = os.path.join(tmp, f"p{p}_e{e0}_b{b1}_m{m}.cfg")
+        with open(path, "w") as fh:
+            fh.write(f"p = {p}\ne0 = {e0}\na1 = pi0^-{b1}\nmu = pi0^-{m}\n")
+        if run_cli(["validate", "--json", "--config", path])[0] != 0:
+            continue
+        passing += 1
+        rc, out = run_cli(["analyze", "--json", "--config", path])
+        if rc in (3, 4):
+            failed += 1
+        elif rc == 0:
+            if json.loads(out)["module_structure"]["free"]:
+                free += 1
+            else:
+                nonfree += 1
+        digest = hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest()
+        lines.append(f"{p} {e0} {b1} {m} {rc} {digest}\n")
+    row = (p, passing, free, nonfree, failed, time.perf_counter() - start)
+    return row, lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
+    parser.add_argument("--digests", metavar="FILE",
+                        help="write one SHA-256 per analyzed config here")
+    args = parser.parse_args(argv)
+
+    print("| p | passing | free | non-free | exit 3/4 | time |")
+    print("| - | ------- | ---- | -------- | -------- | ---- |")
+    failed = 0
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for p in args.primes:
+            (p, passing, free, nonfree, bad, seconds), lines = census(p, tmp)
+            failed += bad
+            digests += lines
+            print(f"| {p} | {passing} | {free} | {nonfree} | "
+                  f"{bad or 'none'} | {seconds:.0f} s |")
+            sys.stdout.flush()
+    if args.digests:
+        with open(args.digests, "w") as fh:
+            fh.writelines(digests)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,10 +8,14 @@ coefficient, on basis monomials, seeded elements of known valuation,
 the lifted generator images and copies of all of these whose
 coefficients carry degraded precisions.  The two basis changes,
 ``K2Element.y_coefficients`` and ``K2Element.from_y_grid``, are compared
-with their reference the same way.
+with their reference the same way.  Coefficientwise subtraction is
+compared with adding the negation, and ``ExtensionDesc.monomial``, built
+once per extension, with the element ``from_y_grid`` builds.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -138,3 +142,77 @@ def test_basis_changes_keep_the_order_of_additions():
             want = k2_reference.from_y_grid(desc, grid).rows
         assert got[1][1].is_zero()
         assert grid_state(got) == grid_state(want)
+
+
+@pytest.mark.parametrize("p, e0, k, unit, seeded, products", CASES,
+                         ids=[f"p{c[0]}-e0{c[1]}-u{c[3]}" for c in CASES])
+def test_subtraction_matches_adding_the_negation(p, e0, k, unit, seeded,
+                                                 products):
+    # coefficientwise a - b must leave every (shift, digits, absprec) as
+    # a + (-b) does: on zero cells, degraded precisions and unequal
+    # shifts, and against K0 and int operands on either side
+    desc, _ = construct_extension(p, e0, (1, k), (1, k), unit_digits=unit)
+    p2 = p * p
+    rng = random.Random(15485863 * p + e0 + unit)
+    pool = basis_monomials(desc) + [desc.zero(), desc.one()] + [
+        element_with_valuation(desc, rng, rng.randrange(-2 * p2, 3 * p2))
+        for _ in range(seeded)]
+    pool += [degraded(x, rng) for x in pool]
+    f = desc.base
+    for _ in range(products):
+        a, b = rng.choice(pool), rng.choice(pool)
+        assert state(a - b) == state(a + (-b))
+        assert state(a - a) == state(a + (-a))
+        c = rng.choice([rng.randrange(-p2, p2),
+                        f.monomial(rng.randrange(1, p2), rng.randrange(-3, 4))])
+        assert state(a - c) == state(a + (-a._coerce(c)))
+        assert state(c - a) == state((-a) + c)
+
+
+def test_monomials_are_built_once_per_extension():
+    desc, _ = construct_extension(3, 6, (1, -1), (1, -1))
+    f = desc.base
+    for k, i, j in [(0, 0, 0), (-2, 1, 2), (3, 2, 0), (1, 0, 1)]:
+        x = desc.monomial(k, i, j)
+        assert desc.monomial(k, i, j) is x
+        grid = [[None] * 3 for _ in range(3)]
+        grid[i][j] = f.pi0(k)
+        assert state(x) == state(K2Element.from_y_grid(desc, grid))
+        assert x.valuation() == desc.monomial_valuation(k, i, j)
+
+
+def test_threads_sharing_an_extension_get_equal_monomials():
+    keys = [(k, i, j) for k in range(-2, 3) for i in range(3) for j in range(3)]
+    rng = random.Random(2203)
+    wrong = []
+
+    def work(desc, want, order):
+        for key in order:
+            x = desc.monomial(*key)
+            if state(x) != want[key] or x.valuation() != desc.monomial_valuation(*key):
+                wrong.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # a fresh extension per trial, so that its monomials are built
+        # under the race
+        for _ in range(4):
+            desc, _ = construct_extension(3, 6, (1, -1), (1, -1))
+            want = {}
+            for k, i, j in keys:
+                grid = [[None] * 3 for _ in range(3)]
+                grid[i][j] = desc.base.pi0(k)
+                want[(k, i, j)] = state(K2Element.from_y_grid(desc, grid))
+            threads = [threading.Thread(target=work, args=(
+                desc, want, rng.sample(keys, len(keys)))) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert all(desc.monomial(*key) is desc.monomial(*key)
+                       for key in keys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
