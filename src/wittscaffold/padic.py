@@ -24,6 +24,8 @@ fold back through p * unit before the e0 digits are read out.
 A product with a monomial c * pi0^k (every digit past digit 0 zero)
 needs no packing: it scales the other operand's digits by c, and by
 c = 1 at an unchanged relative precision it keeps them as they are.
+Likewise a sum with an operand that is zero at its precision is the
+other operand at the lesser precision, with no realignment.
 
 Sums of products, such as the coefficients of K2 products and of
 K0-linear combinations in K2, go through ``dots``.  A sum's precision
@@ -39,14 +41,17 @@ field rather than once per sum.
 
 Valuations are exact: the term valuations e0*v_p(d_i) + i are pairwise
 distinct modulo e0, so the minimum is attained by a unique term and no
-cross-term cancellation can hide it.  Normalizing a nonzero
-element moves this minimum to digit 0; an element whose digits all
-vanish is zero at its precision, with valuation floor N.
+cross-term cancellation can hide it.  It is e0*q + r for q = v_p of the
+digits' gcd and r the first digit that p^(q+1) does not divide.
+Normalizing a nonzero element moves this minimum to digit 0; an element
+whose digits all vanish is zero at its precision, with valuation floor
+N.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     DivisionByIndeterminateZero,
@@ -173,25 +178,14 @@ class K0Element:
     def make(cls, field: BaseField, shift: int, digits, absprec: int) -> "K0Element":
         """pi0^shift * sum_i digits[i] * pi0^i + O(pi0^absprec): reduce
         the e0 ``digits`` (any iterable of ints) modulo the precision and
-        normalize."""
+        normalize by the least term valuation, read off the digits'
+        gcd (``_least_term``)."""
         digits = tuple(map(_mod, digits, field._digit_moduli(absprec - shift)))
         p = field.p
         if digits[0] % p:
             return cls(field, shift, digits, absprec)
-        # the least term valuation t = e0*v_p(d_i) + i; the first unit
-        # digit i ends the search, as every other term lies past i
         e0 = field.e0
-        t = None
-        for i, d in enumerate(digits):
-            if d:
-                v = 0
-                while d % p == 0:
-                    d //= p
-                    v += 1
-                if t is None or e0 * v + i < t:
-                    t = e0 * v + i
-                if not v:
-                    break
+        t = _least_term(p, e0, digits)
         if t is None:
             return cls(field, shift, field._zeros, absprec)
         # divide by pi0^t = (p * unit)^q * pi0^r: digit i moves to
@@ -254,7 +248,11 @@ class K0Element:
 
     def _combine(self, other, op) -> "K0Element":
         """self op other for op int addition or subtraction, digitwise
-        at the lesser shift."""
+        at the lesser shift.
+
+        A zero operand adds only its precision: the result is the other
+        operand x at the lesser precision n, or, when x is zero at n
+        too, the zero at the lesser shift that ``make`` would give."""
         if other.__class__ is not K0Element:
             other = self._coerce(other)
             if not isinstance(other, K0Element):
@@ -264,6 +262,17 @@ class K0Element:
             raise ValueError("elements of different base fields")
         a = self.digits
         b = other.digits
+        if not (a[0] and b[0]):
+            n = min(self.absprec, other.absprec)
+            x = self if a[0] else other
+            if not x.digits[0] or n <= x.shift:
+                return K0Element(field, min(self.shift, other.shift),
+                                 field._zeros, n)
+            if x is self or op is _add:
+                if n == x.absprec:
+                    return x
+                return K0Element.make(field, x.shift, x.digits, n)
+            return K0Element.make(field, x.shift, map(_neg, x.digits), n)
         s = self.shift
         t = other.shift - s
         if t > 0:
@@ -401,6 +410,25 @@ class K0Element:
 
 
 _UNPACKED = (0, 0)  # no slot width is 0
+
+
+def _least_term(p: int, e0: int, digits):
+    """The least term valuation e0*v_p(d_i) + i of nonnegative digits,
+    or None when they all vanish.  q = v_p(gcd) is the least v_p(d_i),
+    and the first digit that p^(q+1) does not divide is the first of
+    that valuation; a digit of higher valuation has its term at
+    e0*(q+1) or past it."""
+    g = gcd(*digits)
+    if not g:
+        return None
+    q = 0
+    while not g % p:
+        g //= p
+        q += 1
+    m = _pk(p, q + 1)
+    for i, d in enumerate(digits):
+        if d % m:
+            return e0 * q + i
 
 
 def _pack(digits, w: int) -> int:

@@ -37,7 +37,7 @@ from .errors import (
     NoConvergence,
     PrecisionExhausted,
 )
-from .padic import BaseField, K0Element, _pack, dots
+from .padic import BaseField, K0Element, _least_term, _pack, dots
 
 
 class ExtensionDesc:
@@ -583,25 +583,13 @@ def _slot_valuation(field: BaseField, z: int, w: int, m: int):
     pi0^e0 = p * unit into e0 digits, which are reduced and read as
     ``K0Element.make`` reads them."""
     e0 = field.e0
-    p = field.p
     low = w * e0
     lowmask = (1 << low) - 1
     mask = (1 << w) - 1
     while z >> low:
         z = (z & lowmask) + field._pu * (z >> low)
-    t = None
-    for r, mod in enumerate(field._digit_moduli(m)):
-        d = ((z >> (w * r)) & mask) % mod
-        if d:
-            v = 0
-            while d % p == 0:
-                d //= p
-                v += 1
-            if t is None or e0 * v + r < t:
-                t = e0 * v + r
-            if not v:
-                break
-    return t
+    return _least_term(field.p, e0, [((z >> (w * r)) & mask) % mod for r, mod
+                                     in enumerate(field._digit_moduli(m))])
 
 
 def scaffold_index(ext, t: int) -> int:

@@ -17,9 +17,14 @@ and in ``k0_reference.RefK0Element`` (one precision per coefficient).
 * Products by a monomial c * pi0^k, which the flat model computes
   without packing, must equal the reference product in shift, digits
   and precision, in both operand orders.
+* ``make``, which reads the least term valuation off the digits' gcd,
+  and sums with an operand that is zero at its precision, which skip
+  the realignment, must equal the reference in shift, digits and
+  precision.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -284,3 +289,89 @@ def test_monomial_products_match_reference(p, e0, unit, prec, products):
         else:
             kinds["reduced"] += 1
     assert min(kinds.values()) > products // 20, kinds
+
+
+# (p, e0, Eisenstein unit, prec_digits) of the normalization and
+# zero-operand tests
+LANE_FIELDS = [
+    (2, 4, 1, 12),
+    (3, 6, 1, 8),
+    (3, 22, 1, 4),
+    (5, 7, 1, 6),
+    (3, 5, 2, 8),
+]
+
+
+def _state(x):
+    return x.shift, x.digits, x.absprec
+
+
+@pytest.mark.parametrize("p,e0,unit,prec", LANE_FIELDS)
+def test_make_matches_reference(p, e0, unit, prec):
+    flat = BaseField(p, e0, unit_digits=unit, prec_digits=prec)
+    ref = RefField(p, e0, unit_digits=unit, prec_digits=prec)
+    rng = random.Random(4000 * p + e0 + unit)
+    full = e0 * prec
+    kinds = Counter()
+
+    def check(shift, digits, rel):
+        got = K0Element.make(flat, shift, digits, shift + rel)
+        coeffs = tuple(PadicInt(p, d, -((i - rel) // e0))
+                       for i, d in enumerate(digits))
+        want = _as_flat(flat, RefK0Element.make(ref, shift, coeffs))
+        assert _state(got) == _state(want), (shift, digits, rel)
+        kinds["zero" if not got.digits[0] else
+              "kept" if got.shift == shift else "normalized"] += 1
+
+    # digit vectors built to cancel down to the least term e0*q + r: the
+    # digits before r divisible by p^(q+1), digit r by p^q only and the
+    # rest by p^q, of either sign, at precisions that keep or cut it
+    for q in range(prec + 1):
+        for r in range(e0):
+            for _ in range(3):
+                digits = [rng.choice((1, -1)) * p ** (q + (i < r))
+                          * rng.randrange(p**prec) for i in range(e0)]
+                digits[r] = p**q * (p * rng.randrange(p**prec)
+                                    + rng.randrange(1, p))
+                check(rng.randrange(-2 * e0, 2 * e0 + 1), digits,
+                      rng.randint(0, full) if rng.random() < 0.5 else full)
+    for rel in range(full + 1):
+        check(rng.randrange(-2 * e0, 2 * e0 + 1), [0] * e0, rel)
+    assert min(kinds[k] for k in ("zero", "kept", "normalized")) > 0, kinds
+
+
+@pytest.mark.parametrize("p,e0,unit,prec", LANE_FIELDS)
+def test_sums_with_a_zero_operand_match_reference(p, e0, unit, prec):
+    flat = BaseField(p, e0, unit_digits=unit, prec_digits=prec)
+    ref = RefField(p, e0, unit_digits=unit, prec_digits=prec)
+    rng = random.Random(5000 * p + e0 + unit)
+    kinds = Counter()
+    for _ in range(600):
+        x = _partner(rng, flat)
+        # the zero's precision lies above, at or below x's, or at or
+        # below x's shift; its own shift lies at or below it
+        where = rng.choice(("above", "at", "below", "under shift"))
+        if where == "above":
+            n = x.absprec + rng.randint(1, 2 * e0)
+        elif where == "at":
+            n = x.absprec
+        elif where == "below":
+            n = rng.randint(x.shift + 1, x.absprec) - 1
+        else:
+            n = x.shift - rng.randint(0, 2 * e0)
+        z = K0Element(flat, n - rng.randint(0, 2 * e0), flat._zeros, n)
+        rx = _as_reference(ref, x)
+        rz = _as_reference(ref, z)
+        for got, want in ((x + z, rx + rz), (z + x, rz + rx),
+                          (x - z, rx - rz), (z - x, rz - rx)):
+            assert _state(got) == _state(_as_flat(flat, want)), (x, z, got)
+        if not x.digits[0]:
+            kinds["both zero"] += 1
+        elif min(n, x.absprec) <= x.shift:
+            kinds["zero at x's shift"] += 1
+        elif n >= x.absprec:
+            kinds["x at its precision"] += 1
+            assert x + z is x and z + x is x and x - z is x
+        else:
+            kinds["x at the zero's precision"] += 1
+    assert len(kinds) == 4 and min(kinds.values()) > 20, kinds
