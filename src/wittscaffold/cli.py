@@ -12,7 +12,8 @@ Parameters come from a flat key=value config file (``--config``), with
 flags overriding.  Field elements are monomials ``c*pi0^k``.  Exit
 codes: 0 success, 2 validation failure, 3 invariant or audit failure,
 4 precision exhausted (by a build, only once its guard-digit retries
-are spent).
+are spent).  Only the commands that build import ``pipeline``, so a
+``validate`` start loads no analysis layer.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ import sys
 
 from .construction import (
     DEFAULT_GUARD_DIGITS,
+    FAULT_NAMES,
+    GUARD_RETRIES,
+    JobConfig,
     check_freeness_bound,
     construct_extension,
     ramification_data,
+    validation_report_dict,
 )
 from .errors import (
     PRECISION_ERRORS,
@@ -35,15 +40,6 @@ from .errors import (
     NoConvergence,
     ScaffoldError,
     ValidationFailure,
-)
-from .pipeline import (
-    FAULT_NAMES,
-    GUARD_RETRIES,
-    JobConfig,
-    analyze_report_dict,
-    audit_report_dict,
-    build_context,
-    validation_report_dict,
 )
 
 EXIT_OK = 0
@@ -254,6 +250,7 @@ def guard_digits(args) -> int:
 
 @job
 def cmd_analyze(args, config: JobConfig) -> int:
+    from .pipeline import analyze_report_dict, build_context
     ctx = build_context(config, guard_digits=guard_digits(args))
     report = analyze_report_dict(ctx)
     emit(report, config.fmt, render_analysis_text)
@@ -264,6 +261,7 @@ def cmd_analyze(args, config: JobConfig) -> int:
 def cmd_audit(args, config: JobConfig) -> int:
     if args.sample < 0:
         raise ValueError(f"--sample must be nonnegative, got {args.sample}")
+    from .pipeline import audit_report_dict, build_context
     ctx = build_context(config, guard_digits=guard_digits(args),
                         fault=args.fault_inject)
     report = audit_report_dict(ctx, args.sample, args.seed)
@@ -293,6 +291,7 @@ def cmd_reproduce_example(args) -> int:
     config = JobConfig(p=3, e0=6, a1=(1, -1), mu=(1, -1),
                        precision=args.precision,
                        fmt="json" if args.json else "text")
+    from .pipeline import analyze_report_dict, build_context
     ctx = build_context(config, guard_digits=guard_digits(args))
     report = analyze_report_dict(ctx)
     got = {

@@ -1,4 +1,5 @@
-"""Parameter validation and ramification data for the tower.
+"""Parameter validation and ramification data for the tower, the job
+config and the validation report: everything ``validate`` runs.
 
 All inequality checks run in exact rational arithmetic; nothing here
 touches floating point.
@@ -244,11 +245,54 @@ def default_target_v2(p: int, e0: int) -> int:
     return 2 * p * p * e0
 
 
+@dataclass
+class JobConfig:
+    """Validated CLI parameters: the prime, the base ramification index,
+    monomial data c * pi0^k for the two generator choices, the working
+    v2-precision and the output format."""
+
+    p: int
+    e0: int
+    a1: tuple[int, int]
+    mu: tuple[int, int]
+    precision: int | None = None
+    fmt: str = "text"
+
+    def __post_init__(self):
+        if self.p < 2:
+            raise ValueError(f"p must be a prime, got {self.p}")
+        if self.e0 < 1:
+            raise ValueError(f"e0 must be at least 1, got {self.e0}")
+        if self.precision is not None and self.precision < 1:
+            raise ValueError(
+                f"precision must be a positive v2-target, got {self.precision}"
+            )
+
+    def as_dict(self):
+        target = self.precision
+        if target is None:
+            target = default_target_v2(self.p, self.e0)
+        return {
+            "p": self.p,
+            "e0": self.e0,
+            "a1": {"coefficient": self.a1[0], "pi0_exponent": self.a1[1]},
+            "mu": {"coefficient": self.mu[0], "pi0_exponent": self.mu[1]},
+            "precision_v2": target,
+        }
+
+
 # The fewest guard digits at which no report in the census box
 # (e0 < 30, b1 < 12, m < 8 at p = 2, 3 and 5; tests/guard_digits_sweep.py)
 # differs from one built with 16.  A build that runs out of precision
 # anyway is retried with more (pipeline.build_context).
 DEFAULT_GUARD_DIGITS = 11
+
+# a build that runs out of precision is repeated this many times, each
+# with max(1, 2*digits) guard digits: 0 -> 1 -> 2 -> 4 -> 8
+GUARD_RETRIES = 4
+
+# the stages that pipeline.build_context can corrupt on purpose
+FAULT_NAMES = ("sigma1",)
 
 
 def default_prec_digits(p: int, e0: int, target_v2: int,
@@ -301,3 +345,21 @@ def construct_extension(
             reports + [rep],
         )
     return desc, reports
+
+
+def validation_report_dict(config: JobConfig,
+                           reports: list[ValidationReport],
+                           rd: RamificationData | None,
+                           bound: FreenessBound | None) -> dict:
+    out = {
+        "config": config.as_dict(),
+        "choices": [r.as_dict() for r in reports],
+        "printed_item2": printed_example_item2_note(),
+        "passed": all(r.passed for r in reports),
+    }
+    if bound is not None:
+        out["freeness_bound"] = bound.as_dict()
+        out["passed"] = out["passed"] and bound.holds
+    if rd is not None:
+        out["ramification"] = rd.as_dict()
+    return out

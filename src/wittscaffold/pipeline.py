@@ -10,17 +10,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import audit as audit_mod
+# the job config, the retry and fault constants and the validation report
+# live in construction, so that ``validate`` loads no analysis layer
 from .construction import (
     DEFAULT_GUARD_DIGITS,
+    FAULT_NAMES,
+    GUARD_RETRIES,
     FreenessBound,
+    JobConfig,
     RamificationData,
     ValidationReport,
     check_freeness_bound,
     construct_extension,
-    default_target_v2,
-    printed_example_item2_note,
     ramification_data,
+    validation_report_dict,
 )
 from .errors import PRECISION_ERRORS
 from .galois import (
@@ -39,42 +42,6 @@ from .structure import (
     rho_family,
 )
 from .tower import ExtensionDesc, K2Element, uniformizer_exponents
-
-
-@dataclass
-class JobConfig:
-    """Validated CLI parameters: the prime, the base ramification index,
-    monomial data c * pi0^k for the two generator choices, the working
-    v2-precision and the output format."""
-
-    p: int
-    e0: int
-    a1: tuple[int, int]
-    mu: tuple[int, int]
-    precision: int | None = None
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be a prime, got {self.p}")
-        if self.e0 < 1:
-            raise ValueError(f"e0 must be at least 1, got {self.e0}")
-        if self.precision is not None and self.precision < 1:
-            raise ValueError(
-                f"precision must be a positive v2-target, got {self.precision}"
-            )
-
-    def as_dict(self):
-        target = self.precision
-        if target is None:
-            target = default_target_v2(self.p, self.e0)
-        return {
-            "p": self.p,
-            "e0": self.e0,
-            "a1": {"coefficient": self.a1[0], "pi0_exponent": self.a1[1]},
-            "mu": {"coefficient": self.mu[0], "pi0_exponent": self.mu[1]},
-            "precision_v2": target,
-        }
 
 
 @dataclass
@@ -98,13 +65,6 @@ class AnalysisContext:
     rhos: list[K2Element]
     module_report: ModuleStructureReport | None
     fault: str | None = None
-
-
-FAULT_NAMES = ("sigma1",)
-
-# a build that runs out of precision is repeated this many times, each
-# with max(1, 2*digits) guard digits: 0 -> 1 -> 2 -> 4 -> 8
-GUARD_RETRIES = 4
 
 
 def build_context(config: JobConfig,
@@ -142,7 +102,8 @@ def _build(config: JobConfig, guard_digits: int,
     sigma1 = compute_sigma1(desc)
     sigma2 = compute_sigma2(desc, sigma1)
     if fault == "sigma1":
-        sigma1 = audit_mod.corrupt_sigma1(sigma1)
+        from .audit import corrupt_sigma1
+        sigma1 = corrupt_sigma1(sigma1)
     psi1, psi2 = psi_operators(desc, sigma1, sigma2)
     words = scaffold_words(psi1, psi2)
     tables = build_tables(rd)
@@ -173,24 +134,6 @@ def _build(config: JobConfig, guard_digits: int,
         module_report=module_report,
         fault=fault,
     )
-
-
-def validation_report_dict(config: JobConfig,
-                           reports: list[ValidationReport],
-                           rd: RamificationData | None,
-                           bound: FreenessBound | None) -> dict:
-    out = {
-        "config": config.as_dict(),
-        "choices": [r.as_dict() for r in reports],
-        "printed_item2": printed_example_item2_note(),
-        "passed": all(r.passed for r in reports),
-    }
-    if bound is not None:
-        out["freeness_bound"] = bound.as_dict()
-        out["passed"] = out["passed"] and bound.holds
-    if rd is not None:
-        out["ramification"] = rd.as_dict()
-    return out
 
 
 def generator_dict(ctx: AnalysisContext) -> dict:
@@ -227,6 +170,7 @@ def analyze_report_dict(ctx: AnalysisContext) -> dict:
 
 
 def audit_report_dict(ctx: AnalysisContext, samples: int, seed: int) -> dict:
+    from . import audit as audit_mod  # only audits load the audit layer
     rng = random.Random(seed)
     galois_checks = audit_mod.galois_invariant_suite(ctx, rng, samples)
     structure_checks = audit_mod.structure_invariant_suite(ctx, rng, samples)

@@ -6,13 +6,15 @@ Not collected by pytest.  Run from the repository root::
 
 Each run is a fresh interpreter, with ``PYTHONPATH`` set to one tree's
 ``src``, that imports ``wittscaffold.cli`` and runs ``validate --json``
-on ``perfbench/configs/deep.cfg``, as every CLI call does before
-anything else.  Runs
-alternate between the two trees, and so does which tree goes first in
-a pair.  Where no bytecode cache is written (``PYTHONDONTWRITEBYTECODE``)
-and ``src/`` has none, every run compiles the package, so its time
-grows with the package's source.  Prints the median and quartiles of
-each tree in milliseconds.
+on ``perfbench/configs/deep.cfg``: the start-up of a ``validate`` call.
+``analyze`` and ``audit`` start the same way, then load the analysis
+layers they run.  Runs alternate between the two trees, and so does
+which tree goes first in a pair.  Where no bytecode cache is written
+(``PYTHONDONTWRITEBYTECODE``) and ``src/`` has none, every run compiles
+the modules it loads, so its time grows with their source.  Prints the
+median and quartiles of each tree in milliseconds, then the sorted
+``wittscaffold`` modules that one untimed ``validate`` start of each
+tree loaded, so that a new eager import shows beside the timings.
 """
 
 from __future__ import annotations
@@ -29,15 +31,36 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "perfbench" / "configs" / "deep.cfg"
 CODE = ("import sys; from wittscaffold.cli import main; "
         "sys.exit(main(['validate', '--json', '--config', sys.argv[1]]))")
+# the same start, then the wittscaffold modules it loaded, on stderr
+MODULES_CODE = ("import sys; from wittscaffold.cli import main; "
+                "main(['validate', '--json', '--config', sys.argv[1]]); "
+                "print(' '.join(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'wittscaffold')), file=sys.stderr)")
+
+
+def environment(tree: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"))
 
 
 def start(tree: Path) -> float:
     """Seconds of one fresh-interpreter ``validate --json`` run."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # a pipe, not DEVNULL: without one, a wait with a timeout polls the
+    # child at steps of up to 50 ms, and every time comes out near
+    # 64 ms plus a multiple of 50 ms; with one it ends when the pipe does
     t0 = perf_counter()
     subprocess.run([sys.executable, "-c", CODE, str(CONFIG)], check=True,
-                   stdout=subprocess.DEVNULL, env=env, cwd=tree, timeout=120)
+                   stdout=subprocess.PIPE, env=environment(tree), cwd=tree,
+                   timeout=120)
     return perf_counter() - t0
+
+
+def loaded_modules(tree: Path) -> str:
+    """The ``wittscaffold`` modules one ``validate --json`` start loads."""
+    proc = subprocess.run([sys.executable, "-c", MODULES_CODE, str(CONFIG)],
+                          check=True, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True,
+                          env=environment(tree), cwd=tree, timeout=120)
+    return proc.stderr.strip()
 
 
 def main(argv=None) -> int:
@@ -63,6 +86,8 @@ def main(argv=None) -> int:
                       else (ms[0],) * 3)
         print(f"{name:10} median {q2:7.1f} ms  quartiles {q1:7.1f} .. {q3:7.1f} ms"
               f"  ({trees[name]})")
+    for name, tree in trees.items():
+        print(f"{name:10} loads {loaded_modules(tree)}")
     return 0
 
 
