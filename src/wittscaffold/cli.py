@@ -88,23 +88,29 @@ def parse_config_file(path: str) -> dict:
     """The parsed values of a config file; a malformed line or value is
     rejected with its file, line and key."""
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                out[key] = CONFIG_KEYS[key](value)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad value for key {key!r}: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # bytes.splitlines ends lines where universal-newline text mode does
+    for lineno, raw in enumerate(data.splitlines(), 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc}") from None
+        line = text.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            out[key] = CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{lineno}: bad value for key {key!r}: {exc}") from None
     return out
 
 

@@ -626,11 +626,15 @@ def hensel_lift(c: K2Element, t0: K2Element,
     Each residual valuation is appended to ``trace`` when given.
 
     One step costs t^(p-1), shared by the residual t*t^(p-1) - t - c and
-    the derivative p*t^(p-1) - 1, and the inverse of the derivative,
-    which is seeded with the previous step's inverse: the derivatives of
-    consecutive iterates differ by p times a multiple of the Newton
-    correction, so the seed is already close and few inversion steps
-    remain.
+    the derivative p*t^(p-1) - 1, and an approximate inverse z of the
+    derivative.  A step whose residual has valuation rv only needs
+    v2(1 - f'*z) >= lift target - rv: the correction f*z then differs
+    from the exact Newton correction f/f' by f*(1/f' - z), of valuation
+    at least the lift target, so every iterate equals the exact Newton
+    iterate modulo the lift target.  z is refined from the previous
+    step's inverse: the derivatives of consecutive iterates differ by p
+    times a multiple of the Newton correction, so the seed is already
+    close and few inversion steps remain, often none.
     """
     ext = c.ext
     p = ext.p
@@ -659,23 +663,22 @@ def hensel_lift(c: K2Element, t0: K2Element,
         fp = tp * p - one
         if fp.valuation() != 0:
             raise NoConvergence("derivative is not a unit at the iterate")
-        inv = _invert_unit(fp, inv)
+        inv = _invert_unit(fp, inv, target - rv)
         t = t - f * inv
     raise NoConvergence("iteration budget exhausted")
 
 
-def _invert_unit(x: K2Element, z: K2Element | None = None) -> K2Element:
-    """Inverse of a v2-valuation-zero element by Newton iteration
-    z <- z + z*(1 - x*z) from the approximate inverse ``z``, by default
-    the inverse of x's constant y-coefficient.
+def _invert_unit(x: K2Element, z: K2Element | None, need: int) -> K2Element:
+    """An approximate inverse z of a v2-valuation-zero element, with
+    v2(1 - x*z) >= ``need``, by Newton iteration z <- z + z*(1 - x*z)
+    from the approximate inverse ``z``, or from the inverse of x's
+    constant y-coefficient when it is None.
 
-    Iteration runs until 1 - x*z vanishes at the working precision.
-    When it already vanishes for the seed, one Newton step is still
-    taken: it caps the seed at the precision of x, which a seed that
-    saw one coefficient of x (or an earlier x) may overstate.  Every
-    iterate is capped at the precision of its seed, so a seeded inverse
-    can know a coefficient to more digits than the default one, whose
-    seed carries what the change to the y-basis lost.
+    The seed is returned unchanged when it already meets ``need``, even
+    when it is known to more digits than x: only v2(1 - x*z) >= need is
+    claimed, and that is read at the precision of x*z.  When 1 - x*z
+    vanishes at its precision below ``need``, x is not known well enough
+    for the claim, and ``PrecisionExhausted`` is raised.
     """
     ext = x.ext
     if x.valuation() != 0:
@@ -683,10 +686,13 @@ def _invert_unit(x: K2Element, z: K2Element | None = None) -> K2Element:
     if z is None:
         z = ext.from_k0(x.y_coefficients()[0][0].inverse())
     one = ext.one()
-    r = one - x * z
-    for step in range(64):
-        if r.is_zero():
-            return z + z * r if step == 0 else z
-        z = z + z * r
+    for _ in range(64):
         r = one - x * z
+        rv, exact = r._resolved()
+        if rv >= need:
+            return z
+        if not exact:
+            raise PrecisionExhausted(
+                f"inverse known to {rv} < the {need} its step needs")
+        z = z + z * r
     raise PrecisionExhausted("unit inversion did not stabilize")

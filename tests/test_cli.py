@@ -331,6 +331,18 @@ class TestInputGaps:
                 in captured.err)
         assert captured.out == ""
 
+    def test_config_that_is_not_utf8_names_file_and_line(self, tmp_path,
+                                                         capsys):
+        # the decoder's own message used to surface without the file
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(EXAMPLE_CFG.encode() + b"# caf\xe9\n")
+        assert main(["validate", "--config", str(path), "--json"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        lineno = len(EXAMPLE_CFG.splitlines()) + 1
+        assert f"{path}:{lineno}: not UTF-8 text: " in captured.err
+        assert "0xe9" in captured.err
+        assert captured.out == ""
+
     def test_negative_sample_rejected(self, example_cfg, capsys):
         rc = main(["audit", "--config", example_cfg, "--sample", "-3", "--json"])
         assert rc == EXIT_VALIDATION

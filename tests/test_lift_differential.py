@@ -1,20 +1,17 @@
 """The Hensel lift against the code it replaced (``lift_reference.py``).
 
-Trimming the Newton steps must not change a single coefficient of a
-root: for the three lifts behind sigma1 and sigma2, the roots and the
-residual valuations of every step are compared with the reference by
-the (shift, digits, absprec) of each K0 coefficient, at the default
-guard digits and at 16.  ``K2Element`` powers are compared the same way
-on seeded elements.
-
-The inverse of each derivative is compared too.  Seeded with the
-previous step's inverse, it may know a coefficient to more digits than
-the reference, whose seed 1/y00 carries the precision lost in the
-change to the y-basis (at p = 5 the constant coefficient of two
-inverses per lift: 85 or 86 against 84).  So each inverse coefficient
-must equal the reference's when cut to the reference's precision, and
-any digit claimed beyond it must be confirmed by the same lift run with
-twice the guard digits.
+The reference is exact Newton: it inverts each derivative to the
+working precision.  The lift inverts it only as far as its step needs,
+to v2(1 - f'*z) >= lift target - rv for a residual of valuation rv, so
+every iterate equals the reference's modulo the lift target.  For the
+three lifts behind sigma1 and sigma2, at the default guard digits and
+at 16, the residual valuations of every step but the last are the
+reference's, the last reaches the lift target, the roots agree to the
+lift target, and every inverse meets its step's need.  The same lifts
+run with twice the guard digits must confirm every digit of the roots
+and inverses that the first run claims.  ``K2Element`` powers are
+compared with the reference by the (shift, digits, absprec) of each K0
+coefficient on seeded elements.
 """
 
 import random
@@ -25,6 +22,7 @@ import lift_reference
 from wittscaffold import tower
 from wittscaffold.audit import element_with_valuation
 from wittscaffold.construction import DEFAULT_GUARD_DIGITS, construct_extension
+from wittscaffold.errors import PrecisionExhausted
 from wittscaffold.galois import d_poly
 from wittscaffold.padic import K0Element
 from wittscaffold.tower import K2Element
@@ -63,26 +61,43 @@ def lift_inputs(desc):
     ]
 
 
-def run_lift(monkeypatch, module, c, t0, trace):
-    """The root of ``module.hensel_lift`` and the inverse of each
-    derivative; the reference lift runs with the reference powers."""
-    inverses = []
-    invert = module._invert_unit
+def run_lift(monkeypatch, c, t0, trace):
+    """The root of ``tower.hensel_lift`` and, for each step, the
+    derivative, the accuracy asked of its inverse and the inverse."""
+    steps = []
+    invert = tower._invert_unit
 
-    def recording(*args):
-        z = invert(*args)
-        inverses.append(z)
-        return z
+    def recording(x, z, need):
+        inv = invert(x, z, need)
+        steps.append((x, need, inv))
+        return inv
 
     with monkeypatch.context() as m:
-        m.setattr(module, "_invert_unit", recording)
-        if module is lift_reference:
-            m.setattr(K2Element, "__pow__", lift_reference.power)
-        return module.hensel_lift(c, t0, trace=trace), inverses
+        m.setattr(tower, "_invert_unit", recording)
+        return tower.hensel_lift(c, t0, trace=trace), steps
+
+
+def reference_lift(monkeypatch, c, t0, trace):
+    with monkeypatch.context() as m:
+        m.setattr(K2Element, "__pow__", lift_reference.power)
+        return lift_reference.hensel_lift(c, t0, trace=trace)
 
 
 def cut(c: K0Element, absprec: int):
     return K0Element.make(c.field, c.shift, c.digits, absprec)
+
+
+def confirmed(x: K2Element, fine_x: K2Element):
+    """Whether x and its run at twice the guard digits agree on every
+    coefficient, cut to the lesser of their precisions."""
+    fine = fine_x.ext.base
+    for row, fine_row in zip(x.rows, fine_x.rows):
+        for a, fine_a in zip(row, fine_row):
+            low = min(a.absprec, fine_a.absprec)
+            again = K0Element.make(fine, a.shift, a.digits, a.absprec)
+            if not (cut(fine_a, low) - cut(again, low)).is_zero():
+                return False
+    return True
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -93,26 +108,26 @@ def test_lift_matches_reference(monkeypatch, p, e0, k, unit, digits):
                                   guard_digits=digits, unit_digits=unit)
     fine, _ = construct_extension(p, e0, (1, k), (1, k),
                                   guard_digits=2 * digits, unit_digits=unit)
+    target = desc.lift_target
     for (c, t0), (fc, ft0) in zip(lift_inputs(desc), lift_inputs(fine)):
-        new_trace, ref_trace = [], []
-        root, inverses = run_lift(monkeypatch, tower, c, t0, new_trace)
-        ref_root, ref_inverses = run_lift(monkeypatch, lift_reference, c, t0,
-                                          ref_trace)
-        assert new_trace == ref_trace
-        assert state(root) == state(ref_root)
-        assert len(inverses) == len(ref_inverses) == len(ref_trace) - 1
+        trace, ref_trace = [], []
+        root, steps = run_lift(monkeypatch, c, t0, trace)
+        ref_root = reference_lift(monkeypatch, c, t0, ref_trace)
+        assert len(trace) == len(ref_trace) == len(steps) + 1
+        assert trace[:-1] == ref_trace[:-1]
+        assert trace[-1] >= target
+        assert (root - ref_root).val_floor() >= target
+        for rv, (x, need, z) in zip(trace, steps):
+            assert need == target - rv
+            assert (desc.one() - x * z).val_floor() >= need
 
-        _, fine_inverses = run_lift(monkeypatch, tower, fc, ft0, [])
-        for z, ref_z, fine_z in zip(inverses, ref_inverses, fine_inverses):
-            for row, ref_row, fine_row in zip(z.rows, ref_z.rows, fine_z.rows):
-                for a, ref_a, fine_a in zip(row, ref_row, fine_row):
-                    assert a.absprec >= ref_a.absprec
-                    assert state_of(cut(a, ref_a.absprec)) == state_of(ref_a)
-                    if a.absprec > ref_a.absprec:
-                        assert fine_a.absprec >= a.absprec
-                        again = K0Element.make(fine.base, a.shift, a.digits,
-                                               a.absprec)
-                        assert (fine_a - again).is_zero()
+        fine_trace = []
+        fine_root, fine_steps = run_lift(monkeypatch, fc, ft0, fine_trace)
+        assert fine_trace[:-1] == trace[:-1]
+        assert len(fine_steps) == len(steps)
+        assert confirmed(root, fine_root)
+        for (_, _, z), (_, _, fine_z) in zip(steps, fine_steps):
+            assert confirmed(z, fine_z)
 
 
 @pytest.mark.parametrize("p, e0, k, unit", CASES,
@@ -133,18 +148,21 @@ def test_power_matches_reference(p, e0, k, unit):
                          ids=[f"p{c[0]}-e0{c[1]}-u{c[3]}" for c in CASES])
 def test_seed_is_capped_at_the_precision_of_x(p, e0, k, unit):
     # a seed known better than x, as the previous step's inverse can be,
-    # already inverts it at x's precision: the one Newton step taken
-    # then must bring the seed down to that precision
+    # inverts x only as far as x is known: asked for more, the inversion
+    # refuses rather than pass the seed on; asked for what x determines,
+    # it returns an inverse that agrees there with the reference inverse
+    # of x and inverts the better-known x as far
     desc, _ = construct_extension(p, e0, (1, k), (1, k), unit_digits=unit)
     x = (desc.x1() + 1) ** (p - 1) * p - desc.one()
     loss = 3 * e0
     rough = K2Element(desc, [[cut(c, c.absprec - loss) for c in row]
                              for row in x.rows])
-    seed = tower._invert_unit(x)
-    inv = tower._invert_unit(rough, seed)
-    assert inv.precision() <= rough.precision() < seed.precision()
+    seed = tower._invert_unit(x, None, x.precision())
+    need = rough.precision()
+    assert need < (desc.one() - x * seed).val_floor()
+    with pytest.raises(PrecisionExhausted):
+        tower._invert_unit(rough, seed, need + 1)
+    inv = tower._invert_unit(rough, seed, need)
     ref_inv = lift_reference._invert_unit(rough)
-    for row, ref_row in zip(inv.rows, ref_inv.rows):
-        for a, ref_a in zip(row, ref_row):
-            low = min(a.absprec, ref_a.absprec)
-            assert (cut(a, low) - cut(ref_a, low)).is_zero()
+    assert (inv - ref_inv).val_floor() >= need
+    assert (desc.one() - x * inv).val_floor() >= need

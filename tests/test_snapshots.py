@@ -10,8 +10,14 @@ residue index and the resolvability rule each got one implementation.
 The p = 5 audit is the output of the code before the scaffold words
 became one table built once per build.  The p = 5 non-free report is
 the output of the code before the rho family's one orbit of rho came
-to serve freeness route 3 and the audit.  Any change of representation
-must reproduce them byte for byte, with the same exit code.
+to serve freeness route 3 and the audit.  The "residual floors" detail
+of generator-defining-relations in the five audits is the output of
+the code after the Hensel lift came to invert each derivative only as
+far as its Newton step uses it: the detail prints the floors of the
+relation residuals, which lie past the lift target by as much as the
+roots overshoot it, and that change lowered the overshoot.
+Any change of representation must reproduce them byte for byte, with
+the same exit code.
 """
 
 from pathlib import Path
