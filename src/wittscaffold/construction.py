@@ -310,7 +310,6 @@ def construct_extension(
     mu_mono: tuple[int, int],
     target_v2: int | None = None,
     guard_digits: int = DEFAULT_GUARD_DIGITS,
-    unit_digits: int = 1,
 ) -> tuple[ExtensionDesc, list[ValidationReport]]:
     """Build a validated extension from monomial data c * pi0^k for a1
     and mu.  Raises ValidationFailure carrying the reports when a bound
@@ -320,7 +319,7 @@ def construct_extension(
     if target_v2 is None:
         target_v2 = default_target_v2(p, e0)
     prec = default_prec_digits(p, e0, target_v2, guard_digits)
-    base = BaseField(p, e0, unit_digits=unit_digits, prec_digits=prec)
+    base = BaseField(p, e0, prec_digits=prec)
     a1 = base.monomial(*a1_mono)
     mu = base.monomial(*mu_mono)
     rep1 = validate_choice1(a1, base)

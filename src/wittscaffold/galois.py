@@ -52,25 +52,17 @@ class Automorphism:
             self.ext, [(c, table[i][j]) for i, row in enumerate(x.rows)
                        for j, c in enumerate(row) if not c.is_pristine_zero()])
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other."""
-        return Automorphism(
-            self.ext, self.apply(other.image_x1), self.apply(other.image_x2)
-        )
-
     def __repr__(self):
         return f"Automorphism(ext={self.ext!r})"
 
 
-def identity_automorphism(ext: ExtensionDesc) -> Automorphism:
-    return Automorphism(ext, ext.x1(), ext.x2())
-
-
 def automorphism_power(auto: Automorphism, n: int) -> Automorphism:
-    result = identity_automorphism(auto.ext)
+    """auto^n, n >= 0: ``auto`` applied n times to the images of x1 and
+    x2."""
+    image_x1, image_x2 = auto.ext.x1(), auto.ext.x2()
     for _ in range(n):
-        result = auto.compose(result)
-    return result
+        image_x1, image_x2 = auto.apply(image_x1), auto.apply(image_x2)
+    return Automorphism(auto.ext, image_x1, image_x2)
 
 
 def relation_residuals(auto: Automorphism) -> tuple[K2Element, K2Element]:

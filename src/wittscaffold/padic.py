@@ -2,7 +2,7 @@
 
 ``K0Element`` is the package's one p-adic number type; integers enter
 as ``BaseField.from_int``.  Elements of K0 = Q_p(pi0), where
-pi0^e0 = p * unit is Eisenstein, are stored as
+pi0^e0 = p, are stored as
 
     pi0^shift * (d_0 + d_1*pi0 + ... + d_{e0-1}*pi0^{e0-1}) + O(pi0^N)
 
@@ -11,15 +11,17 @@ element, the capped-absolute model of Caruso, Roe and Vaccon, "Tracking
 p-adic precision" (ANTS 2014).  Digit i is reduced
 modulo p^ceil((N - shift - i) / e0), so every term it carries is known.
 The explicit pi0-power shift keeps all digit arithmetic integral even
-for elements of negative valuation.
+for elements of negative valuation.  Every element has one normal
+form: a nonzero one is normalized, so its shift is its valuation, and
+one that is zero at its precision is O(pi0^N), stored at shift N with
+all digits 0.  So the shift is always the valuation floor.
 
 Precision follows the ultrametric rules: N = min(N_a, N_b) for sums and
-N = min(vf(a) + N_b, vf(b) + N_a) for products, vf the valuation floor.
-The Eisenstein unit is the exact integer it was given as, so folding
-pi0^e0 = p * unit costs no precision.  Products use Kronecker
-substitution: each digit vector is packed into one big integer, one
-integer product gives the 2*e0 - 1 convolution sums, and the upper ones
-fold back through p * unit before the e0 digits are read out.
+N = min(shift_a + N_b, shift_b + N_a) for products.  Products use
+Kronecker substitution: each digit vector is packed into one big
+integer, one integer product gives the 2*e0 - 1 convolution sums, and
+the upper ones fold back through the exact pi0^e0 = p, at no cost in
+precision, before the e0 digits are read out.
 
 A product with a monomial c * pi0^k (every digit past digit 0 zero)
 needs no packing: it scales the other operand's digits by c, and by
@@ -31,21 +33,18 @@ Sums of products, such as the coefficients of K2 products and of
 K0-linear combinations in K2, go through ``dots``.  A sum's precision
 is the minimum over its terms, so a whole sum of products is one packed
 integer sum with one reduction, with the same digits, shift and
-precision as adding the products one at a time.  Only a sum that is
-zero at its precision is added term by term, because the shift of a
-computed zero depends on the order of the additions.  Each element
-keeps its packed form as a cache for the next sum: the field holds one
-slot width that only grows, so the operands that recur (automorphism
-tables, operator coefficients, orbit images) are packed about once per
-field rather than once per sum.
+precision as adding the products one at a time, in any order.  Each
+element keeps its packed form as a cache for the next sum: the field
+holds one slot width that only grows, so the operands that recur
+(automorphism tables, operator coefficients, orbit images) are packed
+about once per field rather than once per sum.
 
 Valuations are exact: the term valuations e0*v_p(d_i) + i are pairwise
 distinct modulo e0, so the minimum is attained by a unique term and no
 cross-term cancellation can hide it.  It is e0*q + r for q = v_p of the
 digits' gcd and r the first digit that p^(q+1) does not divide.
 Normalizing a nonzero element moves this minimum to digit 0; an element
-whose digits all vanish is zero at its precision, with valuation floor
-N.
+whose digits all vanish is zero at its precision, O(pi0^N).
 """
 
 from __future__ import annotations
@@ -73,28 +72,20 @@ _mod = int.__mod__
 
 
 class BaseField:
-    """Totally ramified base field Q_p(pi0) with pi0^e0 = p * unit."""
+    """Totally ramified base field Q_p(pi0) with pi0^e0 = p."""
 
-    __slots__ = ("p", "e0", "unit", "prec_digits", "_pu", "_zeros", "_moduli",
-                 "_width")
+    __slots__ = ("p", "e0", "prec_digits", "_zeros", "_moduli", "_width")
 
-    def __init__(self, p: int, e0: int, unit_digits: int = 1, prec_digits: int = 32):
+    def __init__(self, p: int, e0: int, prec_digits: int = 32):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise ValueError("p must be prime")
         if e0 < 1:
             raise ValueError("e0 must be at least 1")
         if prec_digits < 1:
             raise ValueError("prec_digits must be positive")
-        if unit_digits < 1 or unit_digits % p == 0:
-            # positive, so that products can fold through p * unit in
-            # packed form
-            raise ValueError("eisenstein unit must be a positive integer prime to p")
         self.p = p
         self.e0 = e0
         self.prec_digits = prec_digits
-        # the Eisenstein relation is exact: pi0^e0 is the integer p * unit
-        self.unit = unit_digits
-        self._pu = p * unit_digits
         self._zeros = (0,) * e0
         self._moduli = {}
         # the slot width of the packed forms that ``dots`` caches on
@@ -132,15 +123,15 @@ class BaseField:
 
     def _raise(self, digits, t: int):
         """Digits of pi0^t * sum digits[i] pi0^i, t >= 0, at the same
-        shift: terms past pi0^e0 fold through pi0^e0 = p * unit."""
+        shift: terms past pi0^e0 fold through pi0^e0 = p."""
         e0 = self.e0
+        p = self.p
         q, r = divmod(t, e0)
         if q:
-            f = self._pu**q
+            f = _pk(p, q)
             digits = [d * f for d in digits]
         if r:
-            pu = self._pu
-            digits = [d * pu for d in digits[e0 - r:]] + [*digits[:e0 - r]]
+            digits = [d * p for d in digits[e0 - r:]] + [*digits[:e0 - r]]
         return digits
 
     def __repr__(self):
@@ -151,15 +142,17 @@ class K0Element:
     """pi0^shift * sum_i digits[i] * pi0^i + O(pi0^absprec) in K0.
 
     A nonzero element is normalized (digit 0 a unit), so its valuation is
-    ``shift``; a zero keeps the shift its arithmetic produced.
+    ``shift``; an element that is zero at its precision is O(pi0^absprec),
+    with ``shift == absprec`` and all digits 0.  Either way ``shift`` is
+    the valuation floor.
 
     Invariant: digit i is reduced modulo p^ceil((absprec - shift - i) /
     e0), as ``make`` leaves it, so every digit lies below
     ``field._digit_moduli(absprec - shift)[0]``.  ``dots`` sizes its
     slots by that bound, and a product by a monomial 1 * pi0^k keeps the
     other operand's digits as they are.  Every direct construction keeps
-    it: zeros, an unchanged relative precision, or digits taken from
-    ``make``.
+    it and the zero form: zeros O(pi0^N), an unchanged relative
+    precision, or digits taken from ``make``.
 
     ``_packed`` caches (slot width, Kronecker-packed digits) for
     ``dots``; it is read and replaced whole, never updated in place.
@@ -179,7 +172,8 @@ class K0Element:
         """pi0^shift * sum_i digits[i] * pi0^i + O(pi0^absprec): reduce
         the e0 ``digits`` (any iterable of ints) modulo the precision and
         normalize by the least term valuation, read off the digits'
-        gcd (``_least_term``)."""
+        gcd (``_least_term``); a zero at that precision is
+        O(pi0^absprec)."""
         digits = tuple(map(_mod, digits, field._digit_moduli(absprec - shift)))
         p = field.p
         if digits[0] % p:
@@ -187,30 +181,17 @@ class K0Element:
         e0 = field.e0
         t = _least_term(p, e0, digits)
         if t is None:
-            return cls(field, shift, field._zeros, absprec)
-        # divide by pi0^t = (p * unit)^q * pi0^r: digit i moves to
-        # position i - r and, when that wraps below 0, loses one more
-        # factor p * unit
+            return cls(field, absprec, field._zeros, absprec)
+        # divide by pi0^t = p^q * pi0^r: digit i moves to position
+        # i - r and, when that wraps below 0, loses one more factor p
         q, r = divmod(t, e0)
         lo = _pk(p, q)
         hi = lo * p
-        out = [d // lo for d in digits[r:]] + [d // hi for d in digits[:r]]
-        u = field.unit
-        if u == 1:
-            return cls(field, shift + t, tuple(out), absprec)
-        m = _pk(p, (absprec - shift - t) // e0 + 1)
-        ulo = pow(u, -q, m)
-        uhi = ulo * pow(u, -1, m)
-        out = [d * ulo for d in out[:e0 - r]] + [d * uhi for d in out[e0 - r:]]
-        return cls.make(field, shift + t, out, absprec)
+        return cls(field, shift + t, tuple(
+            [d // lo for d in digits[r:]] + [d // hi for d in digits[:r]]),
+            absprec)
 
     # -- introspection ------------------------------------------------
-
-    def _val_parts(self):
-        """(exact valuation or None, lower bound that always holds)."""
-        if self.digits[0]:
-            return self.shift, self.shift
-        return None, self.absprec
 
     def valuation(self) -> int:
         if not self.digits[0]:
@@ -221,7 +202,7 @@ class K0Element:
 
     def val_floor(self) -> int:
         """A guaranteed lower bound on the valuation."""
-        return self.shift if self.digits[0] else self.absprec
+        return self.shift
 
     def precision(self) -> int:
         """Absolute v0-precision: the element is known modulo pi0^prec."""
@@ -234,10 +215,10 @@ class K0Element:
     def is_pristine_zero(self) -> bool:
         """Zero with no precision loss (a structural zero): safe to drop
         from products without weakening any precision bound that the
-        surrounding computation could ever assert against.  Equivalently,
-        every digit is known to ``prec_digits`` at a shift >= 0."""
-        return (not self.digits[0] and self.shift >= 0
-                and self.absprec - self.shift >= self.field.e0 * self.field.prec_digits)
+        surrounding computation could ever assert against: zero known at
+        least as far as the field's full precision e0 * prec_digits."""
+        field = self.field
+        return not self.digits[0] and self.absprec >= field.e0 * field.prec_digits
 
     # -- arithmetic ---------------------------------------------------
 
@@ -251,8 +232,8 @@ class K0Element:
         at the lesser shift.
 
         A zero operand adds only its precision: the result is the other
-        operand x at the lesser precision n, or, when x is zero at n
-        too, the zero at the lesser shift that ``make`` would give."""
+        operand x at the lesser precision n, or O(pi0^n) when x is zero
+        at n too."""
         if other.__class__ is not K0Element:
             other = self._coerce(other)
             if not isinstance(other, K0Element):
@@ -265,9 +246,9 @@ class K0Element:
         if not (a[0] and b[0]):
             n = min(self.absprec, other.absprec)
             x = self if a[0] else other
-            if not x.digits[0] or n <= x.shift:
-                return K0Element(field, min(self.shift, other.shift),
-                                 field._zeros, n)
+            # x is zero at n when its shift reaches n, as a zero's does
+            if n <= x.shift:
+                return K0Element(field, n, field._zeros, n)
             if x is self or op is _add:
                 if n == x.absprec:
                     return x
@@ -309,11 +290,11 @@ class K0Element:
         a = self.digits
         b = other.digits
         shift = self.shift + other.shift
-        # known to min(vf(a) + N(b), vf(b) + N(a)), vf the valuation floor
-        absprec = min((self.shift if a[0] else self.absprec) + other.absprec,
-                      (other.shift if b[0] else other.absprec) + self.absprec)
+        # known to min(vf(a) + N(b), vf(b) + N(a)), the shift being the
+        # valuation floor vf
+        absprec = min(self.shift + other.absprec, other.shift + self.absprec)
         if not (a[0] and b[0]):
-            return K0Element(field, shift, field._zeros, absprec)
+            return K0Element(field, absprec, field._zeros, absprec)
         # a monomial c * pi0^k scales the other operand's digits by c; the
         # product's relative precision is the lesser of the operands', so
         # for c = 1 and the other operand's own, its digits stay reduced
@@ -333,15 +314,15 @@ class K0Element:
             return K0Element.make(field, shift, [d * c for d in a], absprec)
         # Kronecker substitution: pack each digit vector into one integer
         # with w-bit slots, multiply once, fold the upper e0 - 1
-        # convolution slots onto the lower ones through pi0^e0 = p * unit
-        # while still packed, and read the e0 digits back out.  The slots
-        # are wide enough for any folded convolution sum.
-        pu = field._pu
+        # convolution slots onto the lower ones through pi0^e0 = p while
+        # still packed, and read the e0 digits back out.  The slots are
+        # wide enough for any folded convolution sum.
+        p = field.p
         w = (max(a).bit_length() + max(b).bit_length() + e0.bit_length()
-             + pu.bit_length() + 1)
+             + p.bit_length() + 1)
         z = _pack(a, w) * _pack(b, w)
         low = w * e0
-        z = (z & ((1 << low) - 1)) + pu * (z >> low)
+        z = (z & ((1 << low) - 1)) + p * (z >> low)
         mask = (1 << w) - 1
         digits = [(z >> (w * k)) & mask for k in range(e0)]
         # both digit-0 terms are units, so the product is normalized
@@ -439,15 +420,6 @@ def _pack(digits, w: int) -> int:
     return x
 
 
-def _fold(terms) -> K0Element:
-    """The left fold t0 + t1 + ... of the terms a * b, or a for b None."""
-    acc = None
-    for a, b in terms:
-        t = a if b is None else a * b
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def dots(groups) -> list:
     """Fused K0 sums of products.
 
@@ -456,15 +428,16 @@ def dots(groups) -> list:
     equal in shift, digits and precision to the left fold t0 + t1 + ...
     of the terms a * b (or a).
 
-    The precision is the least of the terms' own precisions, as the fold
-    computes it, and terms whose shift reaches it add nothing.  The live
-    terms are one sum of Kronecker-packed products at their least shift,
-    with one reduction per group: a term of higher shift q*e0 + r is
-    multiplied by (p * unit)^q and moved r slots up, and the upper slots
-    fold back through p * unit while still packed.  A nonzero sum has
-    one normalized form at its precision, so it is the fold's result.  A
-    sum that is zero at its precision keeps the shift the fold's order
-    of operations gives it, so such a group is folded term by term.
+    The precision N is the least of the terms' own precisions, as the
+    fold computes it, and terms whose shift reaches N add nothing; a
+    zero term's shift is its precision, so no zero term is live.  The
+    live terms are one sum of Kronecker-packed products at their least
+    shift, with one reduction per group: a term of higher shift
+    q*e0 + r is multiplied by p^q and moved r slots up, and the upper
+    slots fold back through pi0^e0 = p while still packed.  The sum has
+    one normal form at N, which is the fold's result: its normalized
+    digits and shift, or O(pi0^N) when it is zero there.  A group with
+    no live term is O(pi0^N).
 
     All groups of a call share one slot width w: the width the call
     needs, from the operands' relative precisions (which bound their
@@ -480,20 +453,18 @@ def dots(groups) -> list:
         prec = None
         cand = []
         for a, b in terms:
-            da = a.digits[0]
             if b is None:
                 n = a.absprec
-                if da:
-                    cand.append((a.shift, a, None))
+                cand.append((a.shift, a, None))
             else:
-                db = b.digits[0]
                 # the product's precision, as K0Element.__mul__ takes it
-                n = (a.shift if da else a.absprec) + b.absprec
-                m = (b.shift if db else b.absprec) + a.absprec
+                sa = a.shift
+                sb = b.shift
+                n = sa + b.absprec
+                m = sb + a.absprec
                 if m < n:
                     n = m
-                if da and db:
-                    cand.append((a.shift + b.shift, a, b))
+                cand.append((sa + sb, a, b))
             if prec is None or n < prec:
                 prec = n
         # ra and rb: the largest relative precisions of live operands
@@ -515,19 +486,19 @@ def dots(groups) -> list:
             s0 = min(shifts)
             span = max(span, max(shifts) - s0)
             nmax = max(nmax, len(live))
-            field = terms[0][0].field
-        plans.append((terms, prec, s0, live))
+        plans.append((terms[0][0].field, prec, s0, live))
     if nmax:
+        field = plans[0][0]
         e0 = field.e0
-        pu = field._pu
+        p = field.p
         # a slot of one term's product is at most e0 * amax * bmax, times
-        # (p * unit)^q for its shift; slot shifts below e0 spread the sum
-        # over at most three blocks of e0 slots, which fold back with the
-        # factors 1, p * unit and (p * unit)^2
+        # p^q for its shift; slot shifts below e0 spread the sum over at
+        # most three blocks of e0 slots, which fold back with the
+        # factors 1, p and p^2
         amax = field._digit_moduli(ra)[0]
         bmax = field._digit_moduli(rb)[0]
-        w = (nmax * e0 * amax * bmax * _pk(pu, span // e0)
-             * (1 + pu + pu * pu)).bit_length()
+        w = (nmax * e0 * amax * bmax * _pk(p, span // e0)
+             * (1 + p + p * p)).bit_length()
         fw = field._width
         if w > fw:
             field._width = w
@@ -537,32 +508,30 @@ def dots(groups) -> list:
         lowmask = (1 << low) - 1
         mask = (1 << w) - 1
     out = []
-    for terms, prec, s0, live in plans:
-        if live:
-            z = 0
-            for s, a, b in live:
-                c = a._packed
+    for f, prec, s0, live in plans:
+        if not live:
+            out.append(K0Element(f, prec, f._zeros, prec))
+            continue
+        z = 0
+        for s, a, b in live:
+            c = a._packed
+            if c[0] != w:
+                c = a._packed = (w, _pack(a.digits, w))
+            t = c[1]
+            if b is not None:
+                c = b._packed
                 if c[0] != w:
-                    c = a._packed = (w, _pack(a.digits, w))
-                t = c[1]
-                if b is not None:
-                    c = b._packed
-                    if c[0] != w:
-                        c = b._packed = (w, _pack(b.digits, w))
-                    t *= c[1]
-                if s != s0:
-                    q, r = divmod(s - s0, e0)
-                    z += (t * _pk(pu, q)) << (w * r)
-                else:
-                    z += t
-            while z >> low:
-                z = (z & lowmask) + pu * (z >> low)
-            x = K0Element.make(field, s0, [(z >> (w * k)) & mask
-                                           for k in range(e0)], prec)
-            if x.digits[0]:
-                out.append(x)
-                continue
-        out.append(_fold(terms))
+                    c = b._packed = (w, _pack(b.digits, w))
+                t *= c[1]
+            if s != s0:
+                q, r = divmod(s - s0, e0)
+                z += (t * _pk(p, q)) << (w * r)
+            else:
+                z += t
+        while z >> low:
+            z = (z & lowmask) + p * (z >> low)
+        out.append(K0Element.make(field, s0, [(z >> (w * k)) & mask
+                                              for k in range(e0)], prec))
     return out
 
 

@@ -244,8 +244,8 @@ class K2Element:
             raise ValueError("elements of different extensions")
         p = ext.p
         wide = 3 * p - 2
-        # the K0 terms of the coefficient of x1^i x2^j, in the order the
-        # schoolbook product and the two reductions add them
+        # the K0 terms of the coefficient of x1^i x2^j from the schoolbook
+        # product and the two reductions
         terms = [[[] for _ in range(2 * p - 1)] for _ in range(wide)]
         right = [(k, l, cb) for k, row in enumerate(other.rows)
                  for l, cb in enumerate(row) if not cb.is_pristine_zero()]
@@ -335,15 +335,14 @@ class K2Element:
         for i, row in enumerate(self.y_coefficients()):
             for j, c in enumerate(row):
                 mono = -i * pb1 - j * ext.b2
-                v, floor = c._val_parts()
-                if v is None:
-                    cand = p2 * floor + mono
-                    if bound is None or cand < bound:
-                        bound = cand
-                else:
-                    cand = p2 * v + mono
+                # the shift: the valuation of a nonzero c, the precision
+                # of a zero one
+                cand = p2 * c.shift + mono
+                if c.digits[0]:
                     if det is None or cand < det:
                         det = cand
+                elif bound is None or cand < bound:
+                    bound = cand
                 pr = p2 * c.precision() + mono
                 if prec is None or pr < prec:
                     prec = pr
@@ -406,9 +405,7 @@ def _substitute_second(ext: ExtensionDesc, grid, m: K0Element):
     None, meaning zero.
 
     Horner's rule in T: multiply the partial sum by T + m*x1, folding
-    the x1 overflow through x1^p = x1 + a1, then add the next column.
-    The K0 additions run term by term in this fixed order, since the
-    shift of a computed zero depends on it."""
+    the x1 overflow through x1^p = x1 + a1, then add the next column."""
     p = ext.p
     a1 = ext.a1
     rows = [[None] * p for _ in range(p)]
@@ -458,7 +455,7 @@ def _lane_constants(ext: ExtensionDesc):
     # a coefficient of column j meets j factors T + mu*x1, and each x1
     # overflow adds a second path through a1: at most 3^(p-1) paths from
     # each of the p^2 coefficients, each multiplying by at most
-    # (c_mu*c_a1)^(p-1); with the factor 2, (p * unit)^q bounds the
+    # (c_mu*c_a1)^(p-1); with the factor 2, p^q bounds the
     # fold of q blocks of e0 slots in ``_slot_valuation``
     paths = 2 * p * p * 3 ** (p - 1) * (cmu * ca1) ** (p - 1)
     return (cmu, -mu.shift, ca1, -a1.shift,
@@ -481,7 +478,7 @@ def _packed_stats(x: K2Element):
     multiples of pi0^N only.  Its valuation is B + k, k its lowest
     nonzero slot, when p does not divide that slot, since every other
     term lies higher; it is zero at precision N when B + k >= N.
-    Otherwise ``_slot_valuation`` folds it through pi0^e0 = p * unit
+    Otherwise ``_slot_valuation`` folds it through pi0^e0 = p
     and reads the e0 digits reduced modulo p^ceil((N - B - r)/e0).
 
     The precision N of a coefficient is the least N(x_ij) plus pi0
@@ -490,8 +487,7 @@ def _packed_stats(x: K2Element):
     precision above theirs: a product with a monomial of larger relative
     precision m has precision N(c) + v(m), sums take the minimum, and
     neither raises the largest relative precision.  A zero's statistics
-    read its precision only, never its shift, so the order of additions,
-    on which that shift depends, does not matter here."""
+    read its precision only."""
     ext = x.ext
     lane = ext._lane
     if lane is None:
@@ -519,7 +515,7 @@ def _packed_stats(x: K2Element):
         lo = hi = 0
     base = lo - (p - 1) * (dmu + da1)
     w = (pathbits + field._digit_moduli(rel)[0].bit_length()
-         + (hi - base + e0 - 1) // e0 * field._pu.bit_length())
+         + (hi - base + e0 - 1) // e0 * p.bit_length())
     smu = w * dmu
     sa1 = w * da1
     # one column of the partial sum at a time: packed values and
@@ -580,14 +576,14 @@ def _packed_stats(x: K2Element):
 def _slot_valuation(field: BaseField, z: int, w: int, m: int):
     """The valuation of sum_k z_k pi0^k, z_k the w-bit slots of z, known
     to pi0^m, or None when it is zero there: the slots fold through
-    pi0^e0 = p * unit into e0 digits, which are reduced and read as
+    pi0^e0 = p into e0 digits, which are reduced and read as
     ``K0Element.make`` reads them."""
     e0 = field.e0
     low = w * e0
     lowmask = (1 << low) - 1
     mask = (1 << w) - 1
     while z >> low:
-        z = (z & lowmask) + field._pu * (z >> low)
+        z = (z & lowmask) + field.p * (z >> low)
     return _least_term(field.p, e0, [((z >> (w * r)) & mask) % mod for r, mod
                                      in enumerate(field._digit_moduli(m))])
 

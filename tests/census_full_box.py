@@ -6,12 +6,16 @@ process, and one table row per prime is printed:
 
     | p | passing | free | non-free | exit 3/4 | time |
 
-With ``--digests FILE``, one line per analyzed config is written there:
-p, e0, b1, m, the exit code and the SHA-256 of the exit code and the
-report, so that two trees can be compared config by config (``diff``
-of the two files).  The exit code is 1 when any config exits 3 or 4.
-Run from the repository root (about 6 minutes for all three primes on
-one core):
+With ``--digests FILE``, each analyzed config is also audited
+(``audit --json --sample 1 --seed 3``), and two lines per config are
+written there: ``p e0 b1 m rc digest`` for ``analyze`` and
+``p e0 b1 m audit rc digest`` for the audit, the digest being the
+SHA-256 of the exit code and the report, so that two trees can be
+compared config by config (``diff`` of the two files).  The exit code
+is 1 when any config exits 3 or 4 in ``analyze``.  Run from the
+repository root (for all three primes on one core, about 6 minutes
+without ``--digests`` and about 12 with it, most of them the p = 5
+audits):
 
     PYTHONPATH=src python3 tests/census_full_box.py --primes 2 3 5 --digests digests.txt
 
@@ -42,8 +46,14 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return rc, out.getvalue()
 
 
-def census(p: int, tmp: str):
-    """(row of the table, digest lines) for one prime."""
+def digest_line(fields: str, rc: int, out: str) -> str:
+    digest = hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest()
+    return f"{fields} {rc} {digest}\n"
+
+
+def census(p: int, tmp: str, audits: bool):
+    """(row of the table, digest lines) for one prime; the lines include
+    one audit digest per config when ``audits`` is set."""
     start = time.perf_counter()
     passing = free = nonfree = failed = 0
     lines = []
@@ -62,8 +72,11 @@ def census(p: int, tmp: str):
                 free += 1
             else:
                 nonfree += 1
-        digest = hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest()
-        lines.append(f"{p} {e0} {b1} {m} {rc} {digest}\n")
+        lines.append(digest_line(f"{p} {e0} {b1} {m}", rc, out))
+        if audits:
+            rc, out = run_cli(["audit", "--json", "--sample", "1", "--seed",
+                               "3", "--config", path])
+            lines.append(digest_line(f"{p} {e0} {b1} {m} audit", rc, out))
     row = (p, passing, free, nonfree, failed, time.perf_counter() - start)
     return row, lines
 
@@ -72,7 +85,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
     parser.add_argument("--digests", metavar="FILE",
-                        help="write one SHA-256 per analyzed config here")
+                        help="write the analyze and audit SHA-256s of each config here")
     args = parser.parse_args(argv)
 
     print("| p | passing | free | non-free | exit 3/4 | time |")
@@ -81,7 +94,8 @@ def main(argv=None) -> int:
     digests = []
     with tempfile.TemporaryDirectory() as tmp:
         for p in args.primes:
-            (p, passing, free, nonfree, bad, seconds), lines = census(p, tmp)
+            (p, passing, free, nonfree, bad, seconds), lines = census(
+                p, tmp, bool(args.digests))
             failed += bad
             digests += lines
             print(f"| {p} | {passing} | {free} | {nonfree} | "

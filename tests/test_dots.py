@@ -3,7 +3,8 @@
 ``padic.dots`` must return, for every group of terms, exactly what the
 left fold t0 + t1 + ... of the individual products (``K0Element.__mul__``)
 and sums (``K0Element.__add__``) returns: the same shift, digits and
-absolute precision.  Seeded groups mix full and degraded precisions,
+absolute precision, and for a sum that is zero at its precision N the
+zero O(pi0^N).  Seeded groups mix full and degraded precisions,
 negative shifts, structural and computed zeros, plain terms and forced
 cancellation, alone and as several groups that share one packing.
 
@@ -21,18 +22,17 @@ import threading
 
 import pytest
 
-from wittscaffold import padic
+from tests_helpers import state
 from wittscaffold.padic import BaseField, K0Element, dots
 
-# (p, e0, Eisenstein unit, prec_digits, single sums, shared calls,
-# widened)
+# (p, e0, prec_digits, single sums, shared calls, widened); the "u1" of
+# the test ids is the Eisenstein unit of pi0^e0 = p * 1
 CASES = [
-    (2, 4, 1, 12, 700, 60, False),
-    (3, 6, 1, 8, 700, 60, False),
-    (3, 22, 1, 4, 300, 30, False),
-    (5, 7, 1, 6, 700, 60, False),
-    (3, 5, 2, 8, 700, 60, False),
-    (3, 6, 1, 8, 300, 30, True),
+    (2, 4, 12, 700, 60, False),
+    (3, 6, 8, 700, 60, False),
+    (3, 22, 4, 300, 30, False),
+    (5, 7, 6, 700, 60, False),
+    (3, 6, 8, 300, 30, True),
 ]
 
 
@@ -44,8 +44,11 @@ def left_fold(terms):
     return acc
 
 
-def state(x):
-    return x.shift, x.digits, x.absprec
+def group_precision(terms):
+    """The least precision of the terms, by the product and sum rules."""
+    return min(a.absprec if b is None else
+               min(a.val_floor() + b.absprec, b.val_floor() + a.absprec)
+               for a, b in terms)
 
 
 def random_element(f, rng):
@@ -90,21 +93,12 @@ def random_group(f, rng, pool):
     return terms
 
 
-@pytest.mark.parametrize("p, e0, unit, prec, singles, shared, widened", CASES,
-                         ids=[f"p{c[0]}-e0{c[1]}-u{c[2]}" + "-widened" * c[6]
+@pytest.mark.parametrize("p, e0, prec, singles, shared, widened", CASES,
+                         ids=[f"p{c[0]}-e0{c[1]}-u1" + "-widened" * c[5]
                               for c in CASES])
-def test_dots_is_the_left_fold(p, e0, unit, prec, singles, shared, widened,
-                               monkeypatch):
-    folds = []
-    fold = padic._fold
-
-    def counted(terms):
-        folds.append(len(terms))
-        return fold(terms)
-
-    monkeypatch.setattr(padic, "_fold", counted)
-    f = BaseField(p, e0, unit_digits=unit, prec_digits=prec)
-    rng = random.Random(7919 * p + 31 * e0 + unit)
+def test_dots_is_the_left_fold(p, e0, prec, singles, shared, widened):
+    f = BaseField(p, e0, prec_digits=prec)
+    rng = random.Random(7919 * p + 31 * e0 + 1)
     pool = [random_element(f, rng) for _ in range(40)]
     checked = zeros = nonzero = 0
     calls = [[random_group(f, rng, pool)] for _ in range(singles)]
@@ -133,11 +127,35 @@ def test_dots_is_the_left_fold(p, e0, unit, prec, singles, shared, widened,
                     nonzero += 1
                 else:
                     zeros += 1
-    # every zero result is the fold's own; most sums take the fused path
-    assert len(folds) == zeros > 0
+                    n = group_precision(terms)
+                    assert (got.shift, got.digits, got.absprec) == (
+                        n, f._zeros, n), terms
+    # zero sums occur, and most sums are nonzero
+    assert zeros > 0
     assert nonzero > 2 * zeros
     assert checked == len(rounds) * (
         singles + sum(len(g) for g in calls[singles:]))
+
+
+def test_a_zero_sum_is_zero_at_the_group_precision():
+    # sums that cancel at their precision: x - x, a product cancelled
+    # by a plain term, and cancelling terms beside zero and higher terms.
+    # Each is O(pi0^N) at the group's precision N, whatever the shifts
+    # of its terms, as is a group whose terms are all zero.
+    f = BaseField(3, 6, prec_digits=8)
+    x = K0Element.make(f, -7, [2, 1, 0, 5, 0, 4], 20)
+    y = f.monomial(4, -2)
+    groups = [
+        [(x, None), (-x, None)],
+        [(x, y), (-(x * y), None)],
+        [(f.zero(), None), (x, y), (-x, y), (f.pi0(30), None)],
+        [(f.zero(), x), (x - x, None)],
+    ]
+    for terms, got in zip(groups, dots(groups), strict=True):
+        n = group_precision(terms)
+        assert n < f.e0 * f.prec_digits
+        assert (got.shift, got.digits, got.absprec) == (n, f._zeros, n)
+        assert state(got) == state(left_fold(terms)) == ("zero", n)
 
 
 def test_threads_sharing_a_field_get_the_left_fold():

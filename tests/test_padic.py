@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from wittscaffold.errors import (
     MembershipUndecided,
 )
 from k0_reference import PadicInt
-from wittscaffold.padic import BaseField, K0Element, wp_membership_guard
+from wittscaffold.padic import BaseField, K0Element, dots, wp_membership_guard
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +110,6 @@ class TestK0Arithmetic:
         assert x.valuation() == 14
         assert x.digits[0] % 3 != 0
 
-    def test_nontrivial_eisenstein_unit(self):
-        # pi0^e0 = 2 * p
-        f = BaseField(3, 6, unit_digits=2, prec_digits=12)
-        assert f.pi0() ** 6 == f.from_int(6)
-        assert f.monomial(1, 7).valuation() == 7
-        x = f.one() + f.pi0()
-        assert x * x.inverse() == f.one()
-
     def test_composite_residue_characteristic_rejected(self):
         with pytest.raises(ValueError):
             BaseField(4, 6)
@@ -209,6 +202,65 @@ class TestPrecisionSoundness:
         assert x.precision() == 7
         assert field._digit_moduli(7) == (9, 3, 3, 3, 3, 3)
         assert x.digits == (5, 2, 2, 2, 2, 2)
+
+
+class TestZeroForm:
+    """A value that is zero at its precision N is O(pi0^N), stored at
+    shift N with all digits 0, however it was computed."""
+
+    def test_every_zero_is_stored_at_its_precision(self):
+        f = BaseField(3, 6, prec_digits=8)
+        full = f.e0 * f.prec_digits
+        rng = random.Random(17)
+        kinds = Counter()
+
+        def element():
+            shift = rng.randint(-12, 12)
+            digits = [rng.randrange(3**9) for _ in range(f.e0)]
+            return K0Element.make(f, shift, digits,
+                                  shift + rng.randint(1, full))
+
+        def check(kind, x):
+            if x.is_zero():
+                assert (x.shift, x.digits) == (x.absprec, f._zeros), (kind, x)
+                kinds[kind] += 1
+
+        for _ in range(300):
+            x, y = element(), element()
+            # x known to less, possibly not even to its own shift
+            cut = K0Element.make(f, x.shift, x.digits,
+                                 rng.randint(x.shift - 6, x.absprec))
+            check("make", cut)
+            shift = rng.randint(-12, 12)
+            check("make", K0Element.make(
+                f, shift, [3 ** rng.randint(0, 9) * d for d in x.digits],
+                shift + rng.randint(-6, full)))
+            check("-", x - cut)
+            check("-", cut - x)
+            check("+", x + (-cut))
+            check("+", (-cut) + x)
+            check("*", x * (x - cut))
+            check("*", (y - y) * x)
+            for z in dots([[(x, y), (-(x * y), None)],
+                           [(x, None), (-cut, None)],
+                           [(x - x, y), (y - y, None)]]):
+                check("dots", z)
+        assert set(kinds) == {"make", "+", "-", "*", "dots"}
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_a_pristine_zero_is_one_known_to_the_full_precision(self):
+        f = BaseField(3, 6, prec_digits=8)
+        full = f.e0 * f.prec_digits
+        assert f.zero().is_pristine_zero()
+        for n in range(-20, 2 * full):
+            z = K0Element.make(f, n - 9, f._zeros, n)
+            assert z.is_pristine_zero() == (n >= full)
+            assert not f.monomial(1, n).is_pristine_zero()
+        # x - x for x known to N: the shift of x does not count, only N
+        for shift in range(-10, 20):
+            for rel in (full - 9, full, full + 9):
+                x = K0Element.make(f, shift, [1, 2, 0, 1, 0, 2], shift + rel)
+                assert (x - x).is_pristine_zero() == (shift + rel >= full)
 
 
 class TestMembershipGuard:

@@ -8,15 +8,19 @@ and -1, cells that are zero at their precision, degraded precisions,
 negative shifts, widely spread shifts and the all-zero element.  A
 crafted element with a cell known to more relative digits than mu, and
 every element of an extension whose mu is no monomial, must take the
-fallback.
+fallback.  So do some valuations of a build from a config file whose mu
+has a coefficient divisible by p, and its report must not change.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from test_k2_differential import degraded
 from wittscaffold.audit import element_with_valuation
+from wittscaffold.cli import EXIT_OK, main
 from wittscaffold.construction import construct_extension
 from wittscaffold.errors import IndeterminateValuation
 from wittscaffold.padic import K0Element
@@ -54,10 +58,10 @@ def y_route(x: K2Element) -> K2Element:
 
 
 def zeros(desc, rng) -> K2Element:
-    """All cells zero, at random (also negative) shifts and precisions."""
+    """All cells zero, O(pi0^N) at random (also negative) precisions N."""
     f = desc.base
     return K2Element(desc, [
-        [K0Element(f, rng.randrange(-9, 9), f._zeros, rng.randrange(-20, 60))
+        [K0Element.make(f, 0, f._zeros, rng.randrange(-20, 60))
          for _ in range(desc.p)] for _ in range(desc.p)])
 
 
@@ -115,3 +119,29 @@ def test_a_mu_that_is_no_monomial_takes_the_fallback():
         x = desc.monomial(k, i, j)
         assert _packed_stats(x) is None
         assert x.valuation() == desc.monomial_valuation(k, i, j)
+
+
+def test_a_config_whose_mu_is_known_to_fewer_digits_takes_the_fallback(
+        tmp_path, monkeypatch, capsys):
+    # mu = 3*pi0^-7 is the golden mu = pi0^-1, since pi0^6 = 3, but known
+    # to 6 fewer relative digits: cells known to more relative digits
+    # than mu occur, and 9 valuations of the build take the y-basis
+    # route.  The report is the golden one but for the echoed mu.
+    calls = []
+    y_stats = K2Element._y_stats
+
+    def counted(self):
+        calls.append(self)
+        return y_stats(self)
+
+    monkeypatch.setattr(K2Element, "_y_stats", counted)
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text("p = 3\ne0 = 6\na1 = pi0^-1\nmu = 3*pi0^-7\n")
+    assert main(["analyze", "--json", "--config", str(cfg)]) == EXIT_OK
+    assert len(calls) == 9
+    report = json.loads(capsys.readouterr().out)
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "analyze_golden.json").read_text())
+    assert report["config"]["mu"] == {"coefficient": 3, "pi0_exponent": -7}
+    report["config"]["mu"] = golden["config"]["mu"]
+    assert report == golden

@@ -223,7 +223,7 @@ class TestPrecisionTracking:
         from wittscaffold.tower import _invert_unit
 
         f = ext.base
-        rough_zero = K0Element(f, 0, f._zeros, 1)
+        rough_zero = K0Element.make(f, 0, f._zeros, 1)
         x = ext.one() + ext.x1().scale(rough_zero)
         assert x.precision() == 6
         with pytest.raises(PrecisionExhausted):
