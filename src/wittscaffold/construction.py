@@ -303,6 +303,16 @@ def default_prec_digits(p: int, e0: int, target_v2: int,
     return max(2, math.ceil(target_v2 / (p * p * e0))) + guard_digits
 
 
+def _exact_monomial(base: BaseField, c: int, k: int) -> K0Element:
+    """The exact config value c * pi0^k: the p-power of c = p^v * u moves
+    into the exponent through pi0^e0 = p, so the unit u is known to the
+    field's full relative precision, e0 * prec_digits."""
+    while c and c % base.p == 0:
+        c //= base.p
+        k += base.e0
+    return base.monomial(c, k)
+
+
 def construct_extension(
     p: int,
     e0: int,
@@ -320,8 +330,8 @@ def construct_extension(
         target_v2 = default_target_v2(p, e0)
     prec = default_prec_digits(p, e0, target_v2, guard_digits)
     base = BaseField(p, e0, prec_digits=prec)
-    a1 = base.monomial(*a1_mono)
-    mu = base.monomial(*mu_mono)
+    a1 = _exact_monomial(base, *a1_mono)
+    mu = _exact_monomial(base, *mu_mono)
     rep1 = validate_choice1(a1, base)
     reports = [rep1]
     if rep1.passed:

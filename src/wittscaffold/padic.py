@@ -333,7 +333,7 @@ class K0Element:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative powers not supported on K0Element")
         result = self.field.one()
         base = self
         while n:
@@ -367,13 +367,6 @@ class K0Element:
             z = z + z * r
             r = one - u * z
         raise PrecisionExhausted("unit inversion did not stabilize")
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -20,10 +20,12 @@ precisions of the y-coefficients, and ``_packed_stats`` reads them
 without building a K0 element: the same Horner rule on the coefficients
 packed into integers at one base, where T moves a column and the
 monomials mu and a1 multiply by a digit and shift slots, and on the
-precisions alone.  It requires mu and a1 to be monomials and no nonzero
-coefficient to be known to more relative digits than they are, under
-which its precisions are the term-by-term ones; otherwise the
-statistics are read off ``y_coefficients``.
+precisions alone.  Its precisions are the term-by-term ones because mu
+and a1 are monomials (``ExtensionDesc`` rejects any other) and no
+nonzero coefficient is known to more relative digits than they are:
+the exact config monomials are known to the field's full relative
+precision, which no sum, product or inverse exceeds.  A coefficient
+that does is an ``InvariantViolation``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class ExtensionDesc:
 
     Carries the break numbers b1 = -v0(a1), m = -v0(mu), b2 = p^2*m + b1
     and the reduction data shared by all K2 elements.  Construction
-    checks the structural identities but not the analytic parameter
-    bounds; see :mod:`wittscaffold.construction` for those.
+    checks the structural identities, a1 and mu being monomials
+    c * pi0^k among them, but not the analytic parameter bounds; see
+    :mod:`wittscaffold.construction` for those.
     """
 
     __slots__ = (
@@ -82,6 +85,8 @@ class ExtensionDesc:
             raise InvariantViolation("mu must have negative valuation")
         if self.b1 % p == 0:
             raise InvariantViolation("p must not divide v0(a1)")
+        if any(c.digits.count(0) != base.e0 - 1 for c in (a1, mu)):
+            raise InvariantViolation("a1 and mu must be monomials c * pi0^k")
         self.b2 = p * p * self.m + self.b1
         self.target_v2 = target_v2
         # roots are lifted beyond the working target so that operator
@@ -167,12 +172,11 @@ class ExtensionDesc:
 class K2Element:
     """An element of K2 on the x1^i x2^j basis with K0 coefficients."""
 
-    __slots__ = ("ext", "rows", "_ycache", "_scache")
+    __slots__ = ("ext", "rows", "_scache")
 
     def __init__(self, ext: ExtensionDesc, rows):
         self.ext = ext
         self.rows = tuple(tuple(r) for r in rows)
-        self._ycache = None
         self._scache = None
 
     @classmethod
@@ -305,48 +309,16 @@ class K2Element:
 
     def y_coefficients(self):
         """Coefficients on the x1^i y2^j basis (p x p grid of K0Element)."""
-        if self._ycache is None:
-            self._ycache = tuple(map(tuple, _substitute_second(
-                self.ext, self.rows, self.ext.mu)))
-        return self._ycache
+        return tuple(map(tuple, _substitute_second(
+            self.ext, self.rows, self.ext.mu)))
 
     def _stats(self):
         """(exact valuation or None, bound on the undetermined terms,
-        absolute precision), computed once per element."""
+        absolute precision) from ``_packed_stats``, computed once per
+        element."""
         if self._scache is None:
-            self._scache = self._compute_stats()
+            self._scache = _packed_stats(self)
         return self._scache
-
-    def _compute_stats(self):
-        """The statistics from the packed lane ``_packed_stats``, which
-        builds no K0 element.  Its precondition: mu and a1 are monomials
-        and no nonzero coefficient has a relative precision above
-        theirs.  Where it fails, they are read off ``y_coefficients``,
-        with the same result wherever both apply."""
-        return _packed_stats(self) or self._y_stats()
-
-    def _y_stats(self):
-        ext = self.ext
-        p2 = ext.p**2
-        pb1 = ext.p * ext.b1
-        det = None
-        bound = None
-        prec = None
-        for i, row in enumerate(self.y_coefficients()):
-            for j, c in enumerate(row):
-                mono = -i * pb1 - j * ext.b2
-                # the shift: the valuation of a nonzero c, the precision
-                # of a zero one
-                cand = p2 * c.shift + mono
-                if c.digits[0]:
-                    if det is None or cand < det:
-                        det = cand
-                elif bound is None or cand < bound:
-                    bound = cand
-                pr = p2 * c.precision() + mono
-                if prec is None or pr < prec:
-                    prec = pr
-        return det, bound, prec
 
     def _resolved(self) -> tuple[int, bool]:
         """(floor, exact): a lower bound on the valuation, and whether it
@@ -444,12 +416,9 @@ def _lane_constants(ext: ExtensionDesc):
     """What ``_packed_stats`` reads of mu and a1, which it needs as
     monomials c * pi0^v: (c_mu, -v(mu), c_a1, -v(a1), the lesser of
     their relative precisions, the bit length of a bound on the number
-    and multipliers of the Horner paths into one coefficient), or None
-    when either is no monomial.  v(mu) and v(a1) are negative."""
-    e0 = ext.base.e0
+    and multipliers of the Horner paths into one coefficient).  v(mu)
+    and v(a1) are negative."""
     mu, a1 = ext.mu, ext.a1
-    if mu.digits.count(0) != e0 - 1 or a1.digits.count(0) != e0 - 1:
-        return None
     p = ext.p
     cmu, ca1 = mu.digits[0], a1.digits[0]
     # a coefficient of column j meets j factors T + mu*x1, and each x1
@@ -464,10 +433,11 @@ def _lane_constants(ext: ExtensionDesc):
 
 
 def _packed_stats(x: K2Element):
-    """``K2Element._y_stats`` without a K0 element: the Horner rule of
+    """(exact valuation or None, bound on the undetermined terms,
+    absolute precision) of x, from its coefficients on the x1^i y2^j
+    basis, without a K0 element: the Horner rule of
     ``_substitute_second(ext, x.rows, mu)`` on packed integers for the
-    values and on precisions alone for the precisions, or None when the
-    precondition below fails.
+    values and on precisions alone for the precisions.
 
     Every nonzero coefficient is packed at one base B, the least shift
     plus the pi0 exponent (p-1)*(v(mu) + v(a1)) < 0 of the deepest
@@ -483,16 +453,15 @@ def _packed_stats(x: K2Element):
 
     The precision N of a coefficient is the least N(x_ij) plus pi0
     exponent over the Horner paths.  That is the term-by-term precision
-    when mu and a1 are monomials and no nonzero x_ij has a relative
+    because mu and a1 are monomials and no nonzero x_ij has a relative
     precision above theirs: a product with a monomial of larger relative
     precision m has precision N(c) + v(m), sums take the minimum, and
-    neither raises the largest relative precision.  A zero's statistics
-    read its precision only."""
+    neither raises the largest relative precision.  A nonzero x_ij
+    known to more relative digits than mu or a1 raises
+    ``InvariantViolation``.  A zero's statistics read its precision
+    only."""
     ext = x.ext
-    lane = ext._lane
-    if lane is None:
-        return None
-    cmu, dmu, ca1, da1, relcap, pathbits = lane
+    cmu, dmu, ca1, da1, relcap, pathbits = ext._lane
     field = ext.base
     e0 = field.e0
     p = ext.p
@@ -504,7 +473,9 @@ def _packed_stats(x: K2Element):
                 s = c.shift
                 r = c.absprec - s
                 if r > relcap:
-                    return None
+                    raise InvariantViolation(
+                        f"a coefficient known to {r} relative pi0-digits, "
+                        f"more than the {relcap} of mu and a1")
                 if r > rel:
                     rel = r
                 if lo is None or s < lo:

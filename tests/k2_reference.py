@@ -7,7 +7,10 @@ reference for ``test_k2_differential.py``.  ``y_coefficients`` and
 ``from_y_grid`` are the two basis changes as they were before they
 shared one substitution helper: each ran its own Horner loop over
 ``_shift_second``, which negated mu * c after the product for the
-change back to the x-basis.
+change back to the x-basis.  ``y_stats`` is the old
+``K2Element._y_stats``, the valuation statistics read off
+``y_coefficients``: the reference for the packed lane in
+``test_stats_lane.py``.
 """
 
 from __future__ import annotations
@@ -148,3 +151,29 @@ def from_y_grid(ext, grid) -> K2Element:
             if c is not None:
                 rows[i][0] = c if rows[i][0] is None else rows[i][0] + c
     return K2Element(ext, _fill(ext, rows))
+
+
+def y_stats(x):
+    """(exact valuation or None, bound on the undetermined terms,
+    absolute precision) of x, term by term over its y-coefficients."""
+    ext = x.ext
+    p2 = ext.p**2
+    pb1 = ext.p * ext.b1
+    det = None
+    bound = None
+    prec = None
+    for i, row in enumerate(x.y_coefficients()):
+        for j, c in enumerate(row):
+            mono = -i * pb1 - j * ext.b2
+            # the shift: the valuation of a nonzero c, the precision
+            # of a zero one
+            cand = p2 * c.shift + mono
+            if c.digits[0]:
+                if det is None or cand < det:
+                    det = cand
+            elif bound is None or cand < bound:
+                bound = cand
+            pr = p2 * c.precision() + mono
+            if prec is None or pr < prec:
+                prec = pr
+    return det, bound, prec

@@ -1,15 +1,16 @@
-"""The packed lane of ``K2Element._compute_stats`` against the route it
-replaced, the statistics read off ``y_coefficients``.
+"""The packed lane ``tower._packed_stats``, the one route to every K2
+valuation, against the route it replaced, the statistics read off
+``y_coefficients`` (``k2_reference.y_stats``).
 
 For every element of a seeded pool, ``valuation`` (or its exception),
 ``val_floor``, ``precision`` and ``vanishes`` must agree between the
 two routes.  The pool covers p = 2, 3 and 5, mu and a1 with digits 1, 2
-and -1, cells that are zero at their precision, degraded precisions,
-negative shifts, widely spread shifts and the all-zero element.  A
-crafted element with a cell known to more relative digits than mu, and
-every element of an extension whose mu is no monomial, must take the
-fallback.  So do some valuations of a build from a config file whose mu
-has a coefficient divisible by p, and its report must not change.
+and -1, config coefficients divisible by p, cells that are zero at
+their precision, degraded precisions, negative shifts, widely spread
+shifts and the all-zero element.  Config monomials must be exact, so
+mu = 3*pi0^-7 at p = 3, e0 = 6 is the golden pi0^-1 and its report is
+the golden one.  A crafted cell known to more relative digits than mu,
+and a mu that is no monomial, are invariant violations.
 """
 
 import json
@@ -18,15 +19,18 @@ from pathlib import Path
 
 import pytest
 
+import k2_reference
 from test_k2_differential import degraded
 from wittscaffold.audit import element_with_valuation
 from wittscaffold.cli import EXIT_OK, main
 from wittscaffold.construction import construct_extension
-from wittscaffold.errors import IndeterminateValuation
+from wittscaffold.errors import IndeterminateValuation, InvariantViolation
 from wittscaffold.padic import K0Element
-from wittscaffold.tower import ExtensionDesc, K2Element, _packed_stats
+from wittscaffold.tower import ExtensionDesc, K2Element
 
-# (p, e0, pi0 exponent of a1 and mu, digit of a1, digit of mu)
+# (p, e0, pi0 exponent of a1 and mu, coefficient of a1, coefficient of
+# mu); the last two are the golden a1 = mu = pi0^-1 and a1 = pi0^-1,
+# mu = -pi0^-1 with a factor p in each coefficient
 CASES = [
     (2, 4, -1, 1, 1),
     (2, 4, -1, -1, 1),
@@ -39,6 +43,8 @@ CASES = [
     (5, 7, -1, 1, 1),
     (5, 7, -1, 2, -1),
     (5, 7, -1, -1, 2),
+    (3, 6, -7, 3, 3),
+    (2, 4, -5, 2, -2),
 ]
 
 
@@ -53,7 +59,7 @@ def observe(x: K2Element):
 def y_route(x: K2Element) -> K2Element:
     """A copy of x whose statistics come from ``y_coefficients``."""
     y = K2Element(x.ext, x.rows)
-    y._scache = y._y_stats()
+    y._scache = k2_reference.y_stats(x)
     return y
 
 
@@ -89,13 +95,19 @@ def pool(desc, rng):
                          ids=[f"p{c[0]}-e0{c[1]}-a{c[3]}-mu{c[4]}" for c in CASES])
 def test_packed_lane_matches_the_y_basis(p, e0, k, ca1, cmu):
     desc, _ = construct_extension(p, e0, (ca1, k), (cmu, k))
+    # config monomials are exact: the value c * pi0^k known to the
+    # field's full relative precision, so in shift, digits and precision
+    # 3*pi0^-7 at p = 3, e0 = 6 is the golden pi0^-1
+    f = desc.base
+    for m, c in ((desc.a1, ca1), (desc.mu, cmu)):
+        assert m == f.monomial(c, k)
+        assert m.absprec - m.shift == f.e0 * f.prec_digits
     rng = random.Random(2106 * p + 31 * e0 + 7 * ca1 + cmu)
     for x in pool(desc, rng):
-        assert _packed_stats(x) is not None
         assert observe(x) == observe(y_route(x))
 
 
-def test_a_cell_finer_than_mu_takes_the_fallback():
+def test_a_cell_finer_than_mu_is_an_invariant_violation():
     desc, _ = construct_extension(3, 6, (1, -1), (1, -1))
     f = desc.base
     rel_mu = desc.mu.absprec - desc.mu.shift
@@ -104,41 +116,25 @@ def test_a_cell_finer_than_mu_takes_the_fallback():
     x = element_with_valuation(desc, rng, 4)
     rows = [list(r) for r in x.rows]
     rows[1][2] = fine
-    crafted = K2Element(desc, rows)
-    assert _packed_stats(crafted) is None
-    assert observe(crafted) == observe(y_route(crafted))
+    with pytest.raises(InvariantViolation):
+        K2Element(desc, rows).valuation()
 
 
-def test_a_mu_that_is_no_monomial_takes_the_fallback():
+def test_a_mu_that_is_no_monomial_is_rejected():
     ref, _ = construct_extension(3, 6, (1, -1), (1, -1))
     f = ref.base
     mu = f.pi0(-1) + f.one()
-    desc = ExtensionDesc(f, ref.a1, mu, ref.target_v2)
-    assert desc._lane is None
-    for k, i, j in [(0, 0, 0), (2, 1, 1), (-1, 2, 2), (3, 0, 2)]:
-        x = desc.monomial(k, i, j)
-        assert _packed_stats(x) is None
-        assert x.valuation() == desc.monomial_valuation(k, i, j)
+    with pytest.raises(InvariantViolation):
+        ExtensionDesc(f, ref.a1, mu, ref.target_v2)
 
 
-def test_a_config_whose_mu_is_known_to_fewer_digits_takes_the_fallback(
-        tmp_path, monkeypatch, capsys):
-    # mu = 3*pi0^-7 is the golden mu = pi0^-1, since pi0^6 = 3, but known
-    # to 6 fewer relative digits: cells known to more relative digits
-    # than mu occur, and 9 valuations of the build take the y-basis
-    # route.  The report is the golden one but for the echoed mu.
-    calls = []
-    y_stats = K2Element._y_stats
-
-    def counted(self):
-        calls.append(self)
-        return y_stats(self)
-
-    monkeypatch.setattr(K2Element, "_y_stats", counted)
+def test_a_config_mu_with_a_factor_p_reports_as_the_golden_one(
+        tmp_path, capsys):
+    # mu = 3*pi0^-7 is the golden mu = pi0^-1, since pi0^6 = 3: the
+    # report is the golden one but for the echoed mu
     cfg = tmp_path / "mu.cfg"
     cfg.write_text("p = 3\ne0 = 6\na1 = pi0^-1\nmu = 3*pi0^-7\n")
     assert main(["analyze", "--json", "--config", str(cfg)]) == EXIT_OK
-    assert len(calls) == 9
     report = json.loads(capsys.readouterr().out)
     golden = json.loads(
         (Path(__file__).parent / "data" / "analyze_golden.json").read_text())
