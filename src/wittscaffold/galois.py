@@ -5,9 +5,16 @@ Artin-Schreier equations from the seeds x1 + 1 and x2 + D(x1, 1); its
 p-th power fixes K1 and shifts x2 by 1 + (small).  Operators such as
 the scaffold operators psi1, psi2 are elements sum_k c_k T^k of the
 group ring K0[T]/(T^(p^2) - 1) with T = sigma1.  The scaffold is the
-table of p^2 words in them, ring products built once per build;
-applying any of them to x reads the orbit T^k x, built lazily and
-shared by every element applied to the same x.
+table of p^2 words in them, ring products built once per build.
+
+An element is applied by one of two routes, chosen by the shape of the
+call.  Applying many elements to one x reads the orbit T^k x, built
+lazily and shared by all of them (``word_images``, and every one-off
+``GroupRingElement.__call__``).  Applying a fixed set of elements to
+many x reads their basis images (``basis_images``): each element's
+images of the p^2 basis monomials x1^i x2^j, from one sweep of p^2
+orbits, after which every application is one K2 combination, the shape
+of ``Automorphism.apply`` against its power table.
 """
 
 from __future__ import annotations
@@ -18,6 +25,14 @@ from .errors import InvariantViolation
 from .padic import K0Element
 from .tower import ExtensionDesc, K2Element, hensel_lift
 from .witt import d_poly
+
+
+def linear_image(ext: ExtensionDesc, table, x: K2Element) -> K2Element:
+    """sum_ij x_ij * table[i][j]: the image of x under the K0-linear map
+    that sends each basis monomial x1^i x2^j to table[i][j]."""
+    return K2Element.combination(
+        ext, [(c, table[i][j]) for i, row in enumerate(x.rows)
+              for j, c in enumerate(row) if not c.is_pristine_zero()])
 
 
 class Automorphism:
@@ -47,10 +62,7 @@ class Automorphism:
     def apply(self, x: K2Element) -> K2Element:
         """Image of x: substitute the generator images into its monomial
         expansion.  K0 coefficients pass through unchanged."""
-        table = self._power_table()
-        return K2Element.combination(
-            self.ext, [(c, table[i][j]) for i, row in enumerate(x.rows)
-                       for j, c in enumerate(row) if not c.is_pristine_zero()])
+        return linear_image(self.ext, self._power_table(), x)
 
     def __repr__(self):
         return f"Automorphism(ext={self.ext!r})"
@@ -218,19 +230,22 @@ class GroupRingElement:
         """The images T^k x as a function of k, each built once, on first
         request: T^k x = sigma1(T^(k-1) x) for 0 < k < p and
         sigma2(T^(k-p) x) for k >= p.  Elements applied through one orbit
-        (see :meth:`on_orbit`) share its images."""
+        (see :meth:`on_orbit`) share its images.  The function does not
+        refer to itself, so the orbit is freed as soon as it is dropped,
+        not at the next cyclic garbage collection."""
         p = self.sigma1.ext.p
+        sigma1, sigma2 = self.sigma1, self.sigma2
         images = {0: x}
 
         def image(k: int) -> K2Element:
-            y = images.get(k)
-            if y is None:
-                if k < p:
-                    y = self.sigma1.apply(image(k - 1))
-                else:
-                    y = self.sigma2.apply(image(k - p))
-                images[k] = y
-            return y
+            missing = []
+            while k not in images:
+                missing.append(k)
+                k = k - 1 if k < p else k - p
+            for k in reversed(missing):
+                images[k] = (sigma1.apply(images[k - 1]) if k < p
+                             else sigma2.apply(images[k - p]))
+            return images[k]
 
         return image
 
@@ -292,3 +307,38 @@ def word_images(words: list[GroupRingElement], x: K2Element) -> list[K2Element]:
     """The image of x under every word, all read from one orbit of x."""
     image = words[0].orbit(x)
     return [word.on_orbit(image) for word in words]
+
+
+class BasisImages:
+    """A group-ring element as the K0-linear map given by its images
+    ``table[i][j]`` of the basis monomials x1^i x2^j; calling it on x is
+    one combination (``linear_image``), with no orbit of x."""
+
+    __slots__ = ("ext", "table")
+
+    def __init__(self, ext: ExtensionDesc, table):
+        self.ext = ext
+        self.table = table
+
+    def __call__(self, x: K2Element) -> K2Element:
+        return linear_image(self.ext, self.table, x)
+
+
+def basis_images(ops: list[GroupRingElement]) -> list[BasisImages]:
+    """Every element of ``ops`` as its basis images, in one sweep over
+    the p^2 basis monomials: each monomial's orbit is built once, read by
+    every element, and dropped before the next one is built.  The sweep
+    costs p^2 orbits, so it pays once the elements are applied to more
+    than about p^2 elements in all."""
+    ext = ops[0].sigma1.ext
+    p = ext.p
+    tables = [[[None] * p for _ in range(p)] for _ in ops]
+    one = ext.base.one()
+    for i in range(p):
+        for j in range(p):
+            rows = ext._empty_rows()
+            rows[i][j] = one
+            image = ops[0].orbit(K2Element(ext, rows))
+            for table, op in zip(tables, ops):
+                table[i][j] = op.on_orbit(image)
+    return [BasisImages(ext, table) for table in tables]

@@ -50,7 +50,7 @@ whose digits all vanish is zero at its precision, O(pi0^N).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     DivisionByIndeterminateZero,
@@ -77,7 +77,7 @@ class BaseField:
     __slots__ = ("p", "e0", "prec_digits", "_zeros", "_moduli", "_width")
 
     def __init__(self, p: int, e0: int, prec_digits: int = 32):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError("p must be prime")
         if e0 < 1:
             raise ValueError("e0 must be at least 1")

@@ -28,6 +28,7 @@ from .construction import (
 from .errors import PRECISION_ERRORS
 from .galois import (
     Automorphism,
+    BasisImages,
     GroupRingElement,
     compute_sigma1,
     compute_sigma2,
@@ -65,6 +66,9 @@ class AnalysisContext:
     rhos: list[K2Element]
     module_report: ModuleStructureReport | None
     fault: str | None = None
+    # the audit's operators as basis images (audit.operator_images),
+    # built on the audit's first use
+    op_images: list[BasisImages] | None = None
 
 
 def build_context(config: JobConfig,

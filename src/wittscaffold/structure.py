@@ -8,6 +8,7 @@ verified numerically on exact field elements.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .construction import FreenessBound, RamificationData
@@ -216,7 +217,7 @@ class CongruenceAuditReport:
 def congruence_audit(
     desc: ExtensionDesc,
     tables: ScaffoldTables,
-    words: list[GroupRingElement],
+    words: list[Callable[[K2Element], K2Element]],
     rhos: list[K2Element],
 ) -> CongruenceAuditReport:
     """Check, over the whole (j, r) grid, the congruences and membership
@@ -228,6 +229,10 @@ def congruence_audit(
     * for j+r >= p^2, pi0^(d0-d_j) word_j rho_r lies in the maximal ideal;
     * pi0^(-w_j) word_j rho_r is integral for every pair, and congruent to
       pi0^(d_{j+r}-d_r-w_j) rho_{j+r} at the same modulus.
+
+    ``words[j]`` applies the j-th word: its group-ring element, which
+    builds an orbit per call, or, as the audit passes it, its basis
+    images, which take one combination per call.
     """
     p = desc.p
     p2 = p * p
@@ -236,11 +241,10 @@ def congruence_audit(
     modulus = p2 * e0 - p * b2 - (p2 - p + 1) * b1
     d, w, d0 = tables.d, tables.w, tables.d0
     failures: list[str] = []
-    orbits = [words[0].orbit(el) for el in rhos]
     for j, word in enumerate(words):
         j0, j1 = tables.digits(j)
         for r in range(p2):
-            x = word.on_orbit(orbits[r])
+            x = word(rhos[r])
             r0, r1 = tables.digits(r)
             carry_free = (j0 + r0 < p) and (j1 + r1 < p)
             if j + r < p2:

@@ -282,6 +282,16 @@ class TestInputGaps:
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
+    def test_huge_even_p_is_a_validation_failure(self, tmp_path, capsys):
+        # the primality test used to take a float square root, which
+        # raised OverflowError for a p this large
+        path = tmp_path / "huge.cfg"
+        p = 2 * 10**399
+        assert len(str(p)) == 400
+        path.write_text(f"p = {p}\ne0 = 6\na1 = pi0^-1\nmu = pi0^-1\n")
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        assert "p must be prime" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_nonpositive_precision_rejected(self, tmp_path, capsys, where, value):

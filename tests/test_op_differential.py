@@ -1,5 +1,7 @@
-"""Differential test of the group-ring scaffold operators against the
-expression-tree operators they replaced (``op_reference.py``).
+"""Differential tests of the scaffold operators' routes.
+
+The group-ring operators against the expression-tree operators they
+replaced (``op_reference.py``):
 
 Every word psi2^(a1) psi1^(a0), a < p^2, of the scaffold table is
 applied to each basis monomial x1^i x2^j and to seeded elements of known
@@ -8,6 +10,12 @@ by nested evaluation of the old tree.  The two must give the same valuation
 outcome, and must agree to the lift target relative to v2(x): the ring
 reduces T^(p^2) to 1, which the lifted automorphisms satisfy only to
 that target.
+
+The basis images the audit applies against the orbit route: every
+operator the audit applies, as the one combination of its images of the
+basis monomials x1^i x2^j, must agree with the same group-ring element
+applied through an orbit of x, coefficient by coefficient at the lesser
+of the two precisions, and in valuation wherever both resolve.
 """
 
 import random
@@ -15,15 +23,21 @@ import random
 import pytest
 
 import op_reference
-from wittscaffold.audit import element_with_valuation
+from wittscaffold.audit import (
+    audit_operators,
+    element_with_valuation,
+    operator_images,
+)
 from wittscaffold.construction import construct_extension
 from wittscaffold.errors import IndeterminateValuation
 from wittscaffold.galois import (
+    Automorphism,
     compute_sigma1,
     compute_sigma2,
     psi_operators,
     scaffold_words,
 )
+from wittscaffold.pipeline import JobConfig, audit_report_dict, build_context
 from wittscaffold.tower import K2Element
 
 # (p, e0, pi0 exponent of a1 = mu, whether the basis monomials are checked)
@@ -82,3 +96,61 @@ def test_ring_words_match_tree_words(p, e0, k, monomials):
             assert (new - old).val_floor() >= floor, (a, x)
             applications += 1
     assert applications == len(elements) * p2
+
+
+# (p, e0, pi0 exponent of a1 = mu, fault)
+CONTEXTS = {
+    "golden": (3, 6, -1, None),
+    "deep": (3, 22, -5, None),
+    "p2": (2, 4, -1, None),
+    "p5": (5, 7, -1, None),
+    "golden-fault": (3, 6, -1, "sigma1"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTEXTS))
+def test_basis_images_match_the_orbit_route(name):
+    p, e0, k, fault = CONTEXTS[name]
+    ctx = build_context(JobConfig(p, e0, (1, k), (1, k)), fault=fault)
+    ops = audit_operators(ctx)
+    images = operator_images(ctx)
+    assert len(ops) == len(images) == p * p + 2
+    # the audit applies psi1 and psi2 as words 1 and p
+    pairs = list(zip(images, ops)) + [(images[1], ctx.psi1),
+                                      (images[p], ctx.psi2)]
+    p2 = p * p
+    rng = random.Random(7 * p + e0)
+    elements = [element_with_valuation(ctx.desc, rng, t)
+                for t in (ctx.desc.b2, rng.randrange(-p2, p2),
+                          rng.randrange(-p2, p2))]
+    resolved = 0
+    for x in elements:
+        # GroupRingElement.__call__(x) is on_orbit(orbit(x)); one orbit
+        # serves every operator here
+        orbit = ops[0].orbit(x)
+        for a, (table_route, element) in enumerate(pairs):
+            new = table_route(x)
+            old = element.on_orbit(orbit)
+            assert (new - old).is_zero(), (name, a)
+            if outcome(new) is not None and outcome(old) is not None:
+                assert new.valuation() == old.valuation(), (name, a)
+                resolved += 1
+    assert resolved
+
+
+def test_golden_audit_applies_no_orbit_per_element(monkeypatch):
+    # the sweep of basis_images builds 9 orbits of 8 applies each, and
+    # generator-order composes sigma1^9 on x1 and x2 (18 applies); an
+    # orbit per sampled element would add 8 applies each (622 in all)
+    ctx = build_context(JobConfig(3, 6, (1, -1), (1, -1)))
+    calls = []
+    apply = Automorphism.apply
+
+    def counted(self, x):
+        calls.append(x)
+        return apply(self, x)
+
+    monkeypatch.setattr(Automorphism, "apply", counted)
+    report = audit_report_dict(ctx, 20, 5)
+    assert report["passed"]
+    assert len(calls) == 90
