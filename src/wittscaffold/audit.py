@@ -178,7 +178,7 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
     for n in range(max(0, samples)):
         x = element_with_valuation(desc, rng, rng.randrange(-p2, p2))
         # p successive applications, not the ring power psi2^p: that
-        # would reduce T^(p^2) to 1 instead of testing the lifted sigma2
+        # would reduce T^(p^2) to 1 instead of testing sigma2
         img = x
         for _ in range(p):
             img = psi2(img)

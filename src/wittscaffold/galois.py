@@ -2,7 +2,7 @@
 
 The generator sigma1 is produced by Hensel-lifting the defining
 Artin-Schreier equations from the seeds x1 + 1 and x2 + D(x1, 1); its
-p-th power fixes K1 and shifts x2 by 1 + (small).  Operators such as
+p-th power sigma2 fixes K1 and shifts x2 by 1 + (small).  Operators such as
 the scaffold operators psi1, psi2 are elements sum_k c_k T^k of the
 group ring K0[T]/(T^(p^2) - 1) with T = sigma1.  The scaffold is the
 table of p^2 words in them, ring products built once per build.
@@ -36,27 +36,30 @@ def linear_image(ext: ExtensionDesc, table, x: K2Element) -> K2Element:
 
 
 class Automorphism:
-    """A K0-automorphism of K2 given by its images of x1 and x2."""
+    """A K0-automorphism of K2 given by its images of x1 and x2, and
+    once known, their ``residuals`` (see ``relation_residuals``)."""
 
-    __slots__ = ("ext", "image_x1", "image_x2", "_table")
+    __slots__ = ("ext", "image_x1", "image_x2", "residuals", "_table")
 
     def __init__(self, ext: ExtensionDesc, image_x1: K2Element, image_x2: K2Element):
         self.ext = ext
         self.image_x1 = image_x1
         self.image_x2 = image_x2
+        self.residuals = None
         self._table = None
 
     def _power_table(self):
-        """Cached grid of image_x1^i * image_x2^j for 0 <= i, j < p."""
+        """Cached grid of image_x1^i * image_x2^j for 0 <= i, j < p; row
+        0 and column 0 are the powers themselves, with no product by one."""
         if self._table is None:
             p = self.ext.p
-            apow = [self.ext.one()]
-            for _ in range(p - 1):
+            apow = [self.image_x1]
+            bpow = [self.ext.one(), self.image_x2]
+            for _ in range(p - 2):
                 apow.append(apow[-1] * self.image_x1)
-            bpow = [self.ext.one()]
-            for _ in range(p - 1):
                 bpow.append(bpow[-1] * self.image_x2)
-            self._table = [[apow[i] * bpow[j] for j in range(p)] for i in range(p)]
+            self._table = [bpow] + [[a] + [a * b for b in bpow[1:]]
+                                    for a in apow]
         return self._table
 
     def apply(self, x: K2Element) -> K2Element:
@@ -79,14 +82,17 @@ def automorphism_power(auto: Automorphism, n: int) -> Automorphism:
 
 def relation_residuals(auto: Automorphism) -> tuple[K2Element, K2Element]:
     """The residuals r1, r2 of both defining Artin-Schreier relations at
-    the images of x1 and x2: X^p - X - a1 and X^p - X - (a2 + D(x1, a1))."""
-    ext = auto.ext
-    p = ext.p
-    a1 = ext.from_k0(ext.a1)
-    r1 = auto.image_x1**p - auto.image_x1 - a1
-    r2 = (auto.image_x2**p - auto.image_x2
-          - (ext.from_k0(ext.a2) + d_poly(auto.image_x1, a1, p)))
-    return r1, r2
+    the images of x1 and x2: X^p - X - a1 and X^p - X - (a2 + D(x1, a1)),
+    computed once per automorphism and kept on it."""
+    if auto.residuals is None:
+        ext = auto.ext
+        p = ext.p
+        a1 = ext.from_k0(ext.a1)
+        r1 = auto.image_x1**p - auto.image_x1 - a1
+        r2 = (auto.image_x2**p - auto.image_x2
+              - (ext.from_k0(ext.a2) + d_poly(auto.image_x1, a1, p)))
+        auto.residuals = (r1, r2)
+    return auto.residuals
 
 
 def verify_automorphism(auto: Automorphism) -> None:
@@ -103,16 +109,18 @@ def verify_automorphism(auto: Automorphism) -> None:
 
 def compute_sigma1(ext: ExtensionDesc) -> Automorphism:
     """The degree-p^2 generator: sends x1 to x1 + 1 + eps and x2 to
-    x2 + D(x1, 1) + (small), both verified."""
+    x2 + D(x1, 1) + (small), both verified by the residuals of their
+    lifts, which are the relation residuals at the images."""
     p = ext.p
     x1 = ext.x1()
     x2 = ext.x2()
     a1 = ext.from_k0(ext.a1)
     a2 = ext.from_k0(ext.a2)
-    image_x1 = hensel_lift(a1, x1 + 1)
+    image_x1, r1 = hensel_lift(a1, x1 + 1)
     c1 = d_poly(x1, ext.one(), p)
-    image_x2 = hensel_lift(a2 + d_poly(image_x1, a1, p), x2 + c1)
+    image_x2, r2 = hensel_lift(a2 + d_poly(image_x1, a1, p), x2 + c1)
     auto = Automorphism(ext, image_x1, image_x2)
+    auto.residuals = (r1, r2)
     eps_val = (image_x1 - x1 - 1).valuation()
     expected = p**2 * ext.base.e0 - p * (p - 1) * ext.b1
     if eps_val != expected:
@@ -123,17 +131,20 @@ def compute_sigma1(ext: ExtensionDesc) -> Automorphism:
     return auto
 
 
-def compute_sigma2_direct(ext: ExtensionDesc) -> Automorphism:
-    """The generator of the subgroup fixing K1, lifted directly and
-    verified: x1 is fixed, x2 goes to x2 + 1 + delta."""
+def compute_sigma2(ext: ExtensionDesc, sigma1: Automorphism) -> Automorphism:
+    """The generator of the subgroup fixing K1 as sigma1^p, verified: x1
+    is fixed (exactly, once sigma1^p fixes it to the target), x2 goes to
+    x2 + 1 + delta.  By Hensel uniqueness (f' is a unit) the certified
+    image of x2 is the root a direct lift from x2 + 1 would give."""
     p = ext.p
-    x1 = ext.x1()
-    x2 = ext.x2()
-    a1 = ext.from_k0(ext.a1)
-    a2 = ext.from_k0(ext.a2)
-    image_x2 = hensel_lift(a2 + d_poly(x1, a1, p), x2 + 1)
-    auto = Automorphism(ext, x1, image_x2)
-    delta_floor = (image_x2 - x2 - 1).val_floor()
+    x1, x2 = ext.x1(), ext.x2()
+    composed = automorphism_power(sigma1, p)
+    drift = (composed.image_x1 - x1).val_floor()
+    if drift < ext.target_v2:
+        raise InvariantViolation(
+            f"sigma1^p moves x1: difference valuation {drift}")
+    auto = Automorphism(ext, x1, composed.image_x2)
+    delta_floor = (auto.image_x2 - x2 - 1).val_floor()
     bound = p**2 * ext.base.e0 + (p - 1) * p * ext.a2.valuation()
     if delta_floor < bound:
         raise InvariantViolation(
@@ -143,28 +154,12 @@ def compute_sigma2_direct(ext: ExtensionDesc) -> Automorphism:
     return auto
 
 
-def compute_sigma2(ext: ExtensionDesc, sigma1: Automorphism) -> Automorphism:
-    """sigma1^p, cross-checked against the direct lift; the direct form
-    is returned (cheaper images for repeated application)."""
-    direct = compute_sigma2_direct(ext)
-    composed = automorphism_power(sigma1, ext.p)
-    for a, b in ((composed.image_x1, direct.image_x1),
-                 (composed.image_x2, direct.image_x2)):
-        d = a - b
-        if d.val_floor() < ext.target_v2:
-            raise InvariantViolation(
-                "sigma1^p disagrees with the directly lifted generator: "
-                f"difference valuation {d.val_floor()}"
-            )
-    return direct
-
-
 # -- the group ring ----------------------------------------------------
 
 
 class GroupRingElement:
     """An element sum_k c_k T^k of K0[G] = K0[T]/(T^(p^2) - 1), where
-    T = sigma1 and T^p acts through the directly lifted sigma2.
+    T = sigma1 and T^p acts through sigma2 = sigma1^p.
 
     ``coeffs`` maps exponents 0 <= k < p^2 to K0 coefficients; an absent
     exponent has coefficient zero, and structural zeros are dropped.
@@ -217,14 +212,6 @@ class GroupRingElement:
                 k = (i + j) % n
                 coeffs[k] = coeffs[k] + a * b if k in coeffs else a * b
         return self._like(coeffs)
-
-    def __pow__(self, n: int) -> "GroupRingElement":
-        if n < 0:
-            raise ValueError("group ring powers must be nonnegative")
-        result = self.one()
-        for _ in range(n):
-            result = result * self
-        return result
 
     def orbit(self, x: K2Element):
         """The images T^k x as a function of k, each built once, on first
@@ -298,9 +285,13 @@ def psi_operators(ext: ExtensionDesc, sigma1: Automorphism,
 def scaffold_words(psi1: GroupRingElement,
                    psi2: GroupRingElement) -> list[GroupRingElement]:
     """The Galois scaffold as one K0-basis of K0[G]: entry a = a1*p + a0
-    is the word psi2^(a1) psi1^(a0), for 0 <= a < p^2."""
+    is the word psi2^(a1) psi1^(a0), for 0 <= a < p^2, from power tables."""
     p = psi1.sigma1.ext.p
-    return [psi2**a1 * psi1**a0 for a1 in range(p) for a0 in range(p)]
+    pow1, pow2 = [psi1.one()], [psi2.one()]
+    for _ in range(p - 1):
+        pow1.append(pow1[-1] * psi1)
+        pow2.append(pow2[-1] * psi2)
+    return [pow2[a1] * pow1[a0] for a1 in range(p) for a0 in range(p)]
 
 
 def word_images(words: list[GroupRingElement], x: K2Element) -> list[K2Element]:

@@ -75,7 +75,7 @@ def build_context(config: JobConfig,
                   guard_digits: int = DEFAULT_GUARD_DIGITS,
                   fault: str | None = None) -> AnalysisContext:
     """Run the construction pipeline.  ``fault`` deliberately corrupts a
-    stage once it is built and verified (sigma1 after sigma2 is lifted),
+    stage once it is built and verified (sigma1 after sigma2 = sigma1^p),
     skipping the later checks, so the audit suites can demonstrate
     detection.
 

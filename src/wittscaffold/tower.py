@@ -584,8 +584,9 @@ def scaffold_lambda(ext: ExtensionDesc, t: int) -> K2Element:
 
 
 def hensel_lift(c: K2Element, t0: K2Element,
-                trace: list | None = None) -> K2Element:
-    """Newton-iterate f(X) = X^p - X - c to a root from the seed t0.
+                trace: list | None = None) -> tuple[K2Element, K2Element]:
+    """Newton-iterate f(X) = X^p - X - c to a root from the seed t0;
+    returns (root, f(root)), the residual of the last step.
 
     Requires v2(f(t0)) > 0 and f'(t0) a unit; the residual valuation at
     least doubles per step, and iteration stops once the residual is
@@ -619,7 +620,7 @@ def hensel_lift(c: K2Element, t0: K2Element,
         if trace is not None:
             trace.append(rv)
         if rv >= target:
-            return t
+            return t, f
         if not exact:
             raise PrecisionExhausted(
                 f"residual vanishes at precision {rv} < target {target}"
@@ -645,7 +646,9 @@ def _invert_unit(x: K2Element, z: K2Element | None, need: int) -> K2Element:
     when it is known to more digits than x: only v2(1 - x*z) >= need is
     claimed, and that is read at the precision of x*z.  When 1 - x*z
     vanishes at its precision below ``need``, x is not known well enough
-    for the claim, and ``PrecisionExhausted`` is raised.
+    for the claim, and ``PrecisionExhausted`` is raised.  A step leaves
+    1 - x*z = r^2 exactly, so it returns z once 2*v2(r) >= need and r is
+    known to ``need``.
     """
     ext = x.ext
     if x.valuation() != 0:
@@ -662,4 +665,6 @@ def _invert_unit(x: K2Element, z: K2Element | None, need: int) -> K2Element:
             raise PrecisionExhausted(
                 f"inverse known to {rv} < the {need} its step needs")
         z = z + z * r
+        if 2 * rv >= need and r.precision() >= need:
+            return z
     raise PrecisionExhausted("unit inversion did not stabilize")

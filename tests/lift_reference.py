@@ -6,12 +6,40 @@ and powers start from a product by one.  ``power`` is the old
 functions of ``wittscaffold.tower``.  All three are kept verbatim as the
 reference for ``test_lift_differential.py``, which runs ``hensel_lift``
 with ``power`` installed as ``K2Element.__pow__``.
+
+``compute_sigma2_direct`` is sigma2 as the build made it before it took
+sigma1^p: a third lift, by the package's ``tower.hensel_lift``, of the
+x2 relation from the seed x2 + 1, with the same checks.  The tests
+compare the build's sigma2 with it.
 """
 
 from __future__ import annotations
 
-from wittscaffold.errors import NoConvergence, PrecisionExhausted
-from wittscaffold.tower import K2Element
+from wittscaffold import tower
+from wittscaffold.errors import InvariantViolation, NoConvergence, PrecisionExhausted
+from wittscaffold.galois import Automorphism, verify_automorphism
+from wittscaffold.tower import ExtensionDesc, K2Element
+from wittscaffold.witt import d_poly
+
+
+def compute_sigma2_direct(ext: ExtensionDesc) -> Automorphism:
+    """The generator of the subgroup fixing K1, lifted directly and
+    verified: x1 is fixed, x2 goes to x2 + 1 + delta."""
+    p = ext.p
+    x1 = ext.x1()
+    x2 = ext.x2()
+    a1 = ext.from_k0(ext.a1)
+    a2 = ext.from_k0(ext.a2)
+    image_x2, _ = tower.hensel_lift(a2 + d_poly(x1, a1, p), x2 + 1)
+    auto = Automorphism(ext, x1, image_x2)
+    delta_floor = (image_x2 - x2 - 1).val_floor()
+    bound = p**2 * ext.base.e0 + (p - 1) * p * ext.a2.valuation()
+    if delta_floor < bound:
+        raise InvariantViolation(
+            f"v2(delta) = {delta_floor} below the bound {bound}"
+        )
+    verify_automorphism(auto)
+    return auto
 
 
 def power(self, n: int):

@@ -140,7 +140,8 @@ def test_criterion_4_galois_correctness(ctx5, suites5):
         "trace-of-shift-error",
     ]
     ok = all(suites5[n].passed for n in names)
-    from wittscaffold.galois import automorphism_power, compute_sigma2_direct
+    from lift_reference import compute_sigma2_direct
+    from wittscaffold.galois import automorphism_power
 
     composed = automorphism_power(ctx5.sigma1, 3)
     direct = compute_sigma2_direct(ctx5.desc)
@@ -163,9 +164,11 @@ def test_criterion_5_scaffold_law(suites5):
 
 
 def test_criterion_6_congruence_audit(ctx5):
+    from wittscaffold.audit import operator_images
     from wittscaffold.structure import congruence_audit
 
-    rep = congruence_audit(ctx5.desc, ctx5.tables, ctx5.words, ctx5.rhos)
+    words = operator_images(ctx5)[:ctx5.desc.degree()]
+    rep = congruence_audit(ctx5.desc, ctx5.tables, words, ctx5.rhos)
     verdict(6, rep.passed and rep.modulus == 17 and rep.pairs == 81,
             f"all 81 (j,r) membership and congruence claims hold at "
             f"modulus {rep.modulus}; carry-free pairs are exact equalities")

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from lift_reference import compute_sigma2_direct
+from tests_helpers import cell_states
 from wittscaffold.construction import construct_extension, ramification_data
+from wittscaffold.errors import InvariantViolation
 from wittscaffold.galois import (
+    Automorphism,
     GroupRingElement,
     automorphism_power,
     compute_sigma1,
     compute_sigma2,
-    compute_sigma2_direct,
     k0_binomial,
     psi_operators,
     relation_residuals,
@@ -92,8 +95,9 @@ class TestSigma2(object):
 
 
 def test_fault_build_still_verifies_both_lifts(monkeypatch):
-    # --fault-inject sigma1 corrupts sigma1 only once sigma2 is lifted and
-    # cross-checked, so a fault build verifies both lifts and sigma1^p
+    # --fault-inject sigma1 corrupts sigma1 only once sigma2 is composed
+    # as sigma1^p, so a fault build verifies sigma1, from its lifts, and
+    # the composed sigma2 before the corruption
     from wittscaffold import galois
 
     verified, powered = [], []
@@ -118,6 +122,57 @@ def test_fault_build_still_verifies_both_lifts(monkeypatch):
     # the corruption reaches the context: sigma1(x2) fails its relation
     r1, r2 = relation_residuals(ctx.sigma1)
     assert r1.vanishes() and not r2.vanishes()
+
+
+GOLDEN = JobConfig(3, 6, (1, -1), (1, -1))
+
+
+def test_build_lifts_twice(monkeypatch):
+    # sigma1's two lifts; sigma2 is composed, not lifted
+    from wittscaffold import galois
+
+    lifts = []
+    lift = galois.hensel_lift
+
+    def counted(c, t0, trace=None):
+        lifts.append(t0)
+        return lift(c, t0, trace)
+
+    monkeypatch.setattr(galois, "hensel_lift", counted)
+    build_context(GOLDEN)
+    assert len(lifts) == 2
+
+
+def test_sigma1_residuals_are_its_lifts():
+    # the build verifies sigma1 by its lifts' last residuals, which are
+    # the relation residuals at its images; the audit reads the same pair
+    ctx = build_context(GOLDEN)
+    s1 = ctx.sigma1
+    kept = s1.residuals
+    assert relation_residuals(s1) is kept
+    fresh = relation_residuals(Automorphism(s1.ext, s1.image_x1, s1.image_x2))
+    for a, b in zip(kept, fresh):
+        assert cell_states(a) == cell_states(b)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_build_rejects_a_wrong_power(monkeypatch, shift):
+    # sigma1^(p-1) and sigma1^(p+1) move x1 by -1 and +1
+    from wittscaffold import galois
+
+    power = galois.automorphism_power
+    monkeypatch.setattr(galois, "automorphism_power",
+                        lambda auto, n: power(auto, n + shift))
+    with pytest.raises(InvariantViolation, match="sigma1\\^p moves x1"):
+        build_context(GOLDEN)
+
+
+def test_build_rejects_an_identity_apply(monkeypatch):
+    # sigma1^p composed from applies that return their input is the
+    # identity, whose x2 image misses x2 + 1 + delta
+    monkeypatch.setattr(Automorphism, "apply", lambda self, x: x)
+    with pytest.raises(InvariantViolation, match="v2\\(delta\\)"):
+        build_context(GOLDEN)
 
 
 def sigma2_element(desc, s1, s2):

@@ -7,7 +7,10 @@ every iterate equals the reference's modulo the lift target.  For the
 three lifts behind sigma1 and sigma2, at the default guard digits and
 at 16, the residual valuations of every step but the last are the
 reference's, the last reaches the lift target, the roots agree to the
-lift target, and every inverse meets its step's need.  The same lifts
+lift target, every inverse meets its step's need, and the residual
+returned has the last traced valuation.  The third lift is the direct lift of sigma2
+that the build no longer makes: the build's sigma2, sigma1^p, must agree
+with it to the working target on both images.  The same lifts
 run with twice the guard digits must confirm every digit of the roots
 and inverses that the first run claims.  ``K2Element`` powers are
 compared with the reference by the (shift, digits, absprec) of each
@@ -27,6 +30,7 @@ from wittscaffold.construction import DEFAULT_GUARD_DIGITS, construct_extension
 from wittscaffold.errors import PrecisionExhausted
 from wittscaffold.galois import d_poly
 from wittscaffold.padic import K0Element
+from wittscaffold.pipeline import JobConfig, build_context
 from wittscaffold.tower import K2Element
 
 # (p, e0, pi0 exponent of a1 = mu)
@@ -43,12 +47,13 @@ DIGITS = sorted({DEFAULT_GUARD_DIGITS, 16})
 
 def lift_inputs(desc):
     """(c, t0) of the lifts of sigma1(x1), sigma1(x2) and sigma2(x2), in
-    the order ``compute_sigma1`` and ``compute_sigma2_direct`` make them;
-    the second depends on the first root, taken from the new lift."""
+    the order ``compute_sigma1`` and ``lift_reference.compute_sigma2_direct``
+    make them; the second depends on the first root, taken from the new
+    lift."""
     p = desc.p
     x1, x2 = desc.x1(), desc.x2()
     a1, a2 = desc.from_k0(desc.a1), desc.from_k0(desc.a2)
-    image_x1 = tower.hensel_lift(a1, x1 + 1)
+    image_x1, _ = tower.hensel_lift(a1, x1 + 1)
     return [
         (a1, x1 + 1),
         (a2 + d_poly(image_x1, a1, p), x2 + d_poly(x1, desc.one(), p)),
@@ -57,8 +62,8 @@ def lift_inputs(desc):
 
 
 def run_lift(monkeypatch, c, t0, trace):
-    """The root of ``tower.hensel_lift`` and, for each step, the
-    derivative, the accuracy asked of its inverse and the inverse."""
+    """The root and residual of ``tower.hensel_lift`` and, for each step,
+    the derivative, the accuracy asked of its inverse and the inverse."""
     steps = []
     invert = tower._invert_unit
 
@@ -104,8 +109,9 @@ def test_lift_matches_reference(monkeypatch, p, e0, k, digits):
     target = desc.lift_target
     for (c, t0), (fc, ft0) in zip(lift_inputs(desc), lift_inputs(fine)):
         trace, ref_trace = [], []
-        root, steps = run_lift(monkeypatch, c, t0, trace)
+        (root, residual), steps = run_lift(monkeypatch, c, t0, trace)
         ref_root = reference_lift(monkeypatch, c, t0, ref_trace)
+        assert residual.val_floor() == trace[-1]
         assert len(trace) == len(ref_trace) == len(steps) + 1
         assert trace[:-1] == ref_trace[:-1]
         assert trace[-1] >= target
@@ -115,12 +121,23 @@ def test_lift_matches_reference(monkeypatch, p, e0, k, digits):
             assert (desc.one() - x * z).val_floor() >= need
 
         fine_trace = []
-        fine_root, fine_steps = run_lift(monkeypatch, fc, ft0, fine_trace)
+        (fine_root, _), fine_steps = run_lift(monkeypatch, fc, ft0, fine_trace)
         assert fine_trace[:-1] == trace[:-1]
         assert len(fine_steps) == len(steps)
         assert confirmed(root, fine_root)
         for (_, _, z), (_, _, fine_z) in zip(steps, fine_steps):
             assert confirmed(z, fine_z)
+
+
+@pytest.mark.parametrize("p, e0, k", CASES, ids=IDS)
+def test_composed_sigma2_matches_direct_lift(p, e0, k):
+    ctx = build_context(JobConfig(p, e0, (1, k), (1, k)))
+    desc = ctx.desc
+    direct = lift_reference.compute_sigma2_direct(desc)
+    assert (ctx.sigma2.image_x1 - desc.x1()).is_zero()
+    for a, b in ((ctx.sigma2.image_x1, direct.image_x1),
+                 (ctx.sigma2.image_x2, direct.image_x2)):
+        assert (a - b).val_floor() >= desc.target_v2
 
 
 @pytest.mark.parametrize("p, e0, k", CASES, ids=IDS)

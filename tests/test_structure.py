@@ -1,5 +1,6 @@
 import pytest
 
+from wittscaffold.audit import operator_images
 from wittscaffold.construction import (
     check_freeness_bound,
     construct_extension,
@@ -153,21 +154,36 @@ class TestFreeness:
         assert basis_op_label(tables, 4) == "pi0^-1*Psi1*Psi2"
 
 
+def grid_words(ctx):
+    """The words as the audit applies them in the grid: basis images."""
+    return operator_images(ctx)[:ctx.desc.degree()]
+
+
 class TestCongruenceAudit:
     def test_full_grid_example(self, ctx5):
-        desc, tables, words = ctx5.desc, ctx5.tables, ctx5.words
-        rhos = ctx5.rhos
-        rep = congruence_audit(desc, tables, words, rhos)
+        desc, tables, rhos = ctx5.desc, ctx5.tables, ctx5.rhos
+        rep = congruence_audit(desc, tables, grid_words(ctx5), rhos)
         assert rep.modulus == 17
         assert rep.pairs == 81
         assert rep.passed, rep.failures[:5]
 
     def test_full_grid_p2(self, ctx2):
-        desc, tables, words = ctx2.desc, ctx2.tables, ctx2.words
-        rhos = ctx2.rhos
-        rep = congruence_audit(desc, tables, words, rhos)
+        desc, tables, rhos = ctx2.desc, ctx2.tables, ctx2.rhos
+        rep = congruence_audit(desc, tables, grid_words(ctx2), rhos)
         assert rep.modulus == 3
         assert rep.passed, rep.failures[:5]
+
+    @pytest.mark.parametrize("fault", [None, "sigma1"])
+    def test_orbit_route_gives_the_same_report(self, fault):
+        # the words as group-ring elements, an orbit per (j, r) pair,
+        # against their basis images; the corrupted sigma1 makes the
+        # grid fail, so the failures themselves are compared
+        ctx = build_context(JobConfig(3, 6, (1, -1), (1, -1)), fault=fault)
+        desc, tables, rhos = ctx.desc, ctx.tables, ctx.rhos
+        orbit = congruence_audit(desc, tables, ctx.words, rhos)
+        images = congruence_audit(desc, tables, grid_words(ctx), rhos)
+        assert orbit == images
+        assert orbit.passed == (fault is None)
 
     def test_carry_free_pair_is_exact(self, ctx5):
         desc, tables, words = ctx5.desc, ctx5.tables, ctx5.words

@@ -141,8 +141,9 @@ class TestUniformizer:
 
 class TestHensel:
     def test_exact_root_at_zero(self, ext):
-        root = hensel_lift(ext.zero(), ext.zero())
+        root, residual = hensel_lift(ext.zero(), ext.zero())
         assert root.is_zero()
+        assert residual.is_zero()
 
     def test_root_family_spacing(self, ext):
         # the p roots of X^p - X = a2 + D(x1, a1) sit at x2 + i + (small),
@@ -152,9 +153,10 @@ class TestHensel:
         spacing = ext.p**2 * ext.base.e0 - (ext.p - 1) * u
         assert spacing == 30
         for i in range(ext.p):
-            root = hensel_lift(c, ext.x2() + i)
+            root, residual = hensel_lift(c, ext.x2() + i)
             assert (root - ext.x2() - i).val_floor() >= spacing
             assert (root**ext.p - root - c).vanishes()
+            assert (residual - (root**ext.p - root - c)).is_zero()
 
     def test_residual_at_least_doubles(self, ext):
         # the last step inverts the derivative only as far as the lift
