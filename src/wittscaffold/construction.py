@@ -145,14 +145,6 @@ class RamificationData:
         }
 
 
-def _depth_and_cap(p: int, e0: int, b1: int, b2: int) -> tuple[int, Fraction]:
-    """The v2-depth of ramification of K2/K0 and the cap
-    (p^2+1)/(p^2+p) * p^2*e0 that it must stay below."""
-    p2 = p * p
-    depth = (p - 1) * b2 + p * (p - 1) * b1
-    return depth, Fraction(p2 + 1, p2 + p) * (p2 * e0)
-
-
 def ramification_data(desc: ExtensionDesc) -> RamificationData:
     """Break numbers, depth, different and scaffold precision, with the
     derived identities re-checked on the way."""
@@ -170,12 +162,8 @@ def ramification_data(desc: ExtensionDesc) -> RamificationData:
         raise InvariantViolation(
             f"upper break mismatch: conversion gives {u2}, v0(a2) gives {u2_from_a2}"
         )
-    depth, depth_cap = _depth_and_cap(p, e0, b1, b2)
-    if not depth < depth_cap:
-        raise InvariantViolation(
-            f"depth {depth} is not below its bound {depth_cap}"
-        )
-    c = min(b2 - p2 * b1, p2 * e0 - (p - 1) * b2 - p * (p - 1) * b1)
+    depth = (p - 1) * b2 + p * (p - 1) * b1
+    c = min(b2 - p2 * b1, p2 * e0 - depth)
     if c < 1:
         raise InvariantViolation(f"scaffold precision {c} is not positive")
     return RamificationData(
@@ -323,9 +311,7 @@ def construct_extension(
 ) -> tuple[ExtensionDesc, list[ValidationReport]]:
     """Build a validated extension from monomial data c * pi0^k for a1
     and mu.  Raises ValidationFailure carrying the reports when a bound
-    fails, or when the depth of ramification reaches its cap: the choice
-    bounds do not imply the cap, so it is checked here as one more named
-    hypothesis, reported only when it fails."""
+    fails."""
     if target_v2 is None:
         target_v2 = default_target_v2(p, e0)
     prec = default_prec_digits(p, e0, target_v2, guard_digits)
@@ -342,18 +328,7 @@ def construct_extension(
         raise ValidationFailure(
             "parameter choices rejected: " + "; ".join(failed), reports
         )
-    desc = ExtensionDesc(base, a1, mu, target_v2=target_v2)
-    depth, cap = _depth_and_cap(p, e0, desc.b1, desc.b2)
-    if not depth < cap:
-        rep = ValidationReport("ramification")
-        rep.add("depth-below-cap", False,
-                f"(p-1)*b2 + p*(p-1)*b1 = {depth} < {cap} = "
-                f"(p^2+1)/(p^2+p)*p^2*e0")
-        raise ValidationFailure(
-            f"parameter choices rejected: {rep.subject}: depth-below-cap",
-            reports + [rep],
-        )
-    return desc, reports
+    return ExtensionDesc(base, a1, mu, target_v2=target_v2), reports
 
 
 def validation_report_dict(config: JobConfig,

@@ -11,13 +11,18 @@ With ``--digests FILE``, each analyzed config is also audited
 written there: ``p e0 b1 m rc digest`` for ``analyze`` and
 ``p e0 b1 m audit rc digest`` for the audit, the digest being the
 SHA-256 of the exit code and the report, so that two trees can be
-compared config by config (``diff`` of the two files).  The exit code
-is 1 when any config exits 3 or 4 in ``analyze``.  Run from the
-repository root (for all three primes on one core, about 6 minutes
-without ``--digests`` and about 12 with it, most of them the p = 5
+compared config by config (``diff`` of the two files).  With
+``--check FILE``, the same lines are compared with those of FILE for
+the primes run; every config whose line differs, or that only one
+side has, is named, and the exit code is 1.  The lines of the current
+tree are pinned in ``tests/data/census_digests.txt``.  The exit code
+is also 1 when any config exits 3 or 4 in ``analyze``.  Run from the
+repository root (on one core, about 6 minutes for all three primes
+without audits; with ``--digests`` or ``--check`` about 1 minute for
+p = 2 and 3 and 13-15 minutes for p = 5, most of them the p = 5
 audits):
 
-    PYTHONPATH=src python3 tests/census_full_box.py --primes 2 3 5 --digests digests.txt
+    PYTHONPATH=src python3 tests/census_full_box.py --primes 2 3 5 --check tests/data/census_digests.txt
 
 The file name keeps pytest from collecting it.
 """
@@ -51,6 +56,25 @@ def digest_line(fields: str, rc: int, out: str) -> str:
     return f"{fields} {rc} {digest}\n"
 
 
+def config_digests(p: int, e0: int, b1: int, m: int, tmp: str,
+                   audits: bool):
+    """(analyze exit code, report, digest lines) for one config, or None
+    when ``validate`` rejects it; the lines include the audit's digest
+    when ``audits`` is set."""
+    path = os.path.join(tmp, f"p{p}_e{e0}_b{b1}_m{m}.cfg")
+    with open(path, "w") as fh:
+        fh.write(f"p = {p}\ne0 = {e0}\na1 = pi0^-{b1}\nmu = pi0^-{m}\n")
+    if run_cli(["validate", "--json", "--config", path])[0] != 0:
+        return None
+    rc, out = run_cli(["analyze", "--json", "--config", path])
+    lines = [digest_line(f"{p} {e0} {b1} {m}", rc, out)]
+    if audits:
+        arc, aout = run_cli(["audit", "--json", "--sample", "1", "--seed",
+                             "3", "--config", path])
+        lines.append(digest_line(f"{p} {e0} {b1} {m} audit", arc, aout))
+    return rc, out, lines
+
+
 def census(p: int, tmp: str, audits: bool):
     """(row of the table, digest lines) for one prime; the lines include
     one audit digest per config when ``audits`` is set."""
@@ -58,13 +82,11 @@ def census(p: int, tmp: str, audits: bool):
     passing = free = nonfree = failed = 0
     lines = []
     for e0, b1, m in CENSUS_BOX:
-        path = os.path.join(tmp, f"p{p}_e{e0}_b{b1}_m{m}.cfg")
-        with open(path, "w") as fh:
-            fh.write(f"p = {p}\ne0 = {e0}\na1 = pi0^-{b1}\nmu = pi0^-{m}\n")
-        if run_cli(["validate", "--json", "--config", path])[0] != 0:
+        result = config_digests(p, e0, b1, m, tmp, audits)
+        if result is None:
             continue
+        rc, out, config_lines = result
         passing += 1
-        rc, out = run_cli(["analyze", "--json", "--config", path])
         if rc in (3, 4):
             failed += 1
         elif rc == 0:
@@ -72,13 +94,19 @@ def census(p: int, tmp: str, audits: bool):
                 free += 1
             else:
                 nonfree += 1
-        lines.append(digest_line(f"{p} {e0} {b1} {m}", rc, out))
-        if audits:
-            rc, out = run_cli(["audit", "--json", "--sample", "1", "--seed",
-                               "3", "--config", path])
-            lines.append(digest_line(f"{p} {e0} {b1} {m} audit", rc, out))
+        lines += config_lines
     row = (p, passing, free, nonfree, failed, time.perf_counter() - start)
     return row, lines
+
+
+def differing(pinned: list[str], lines: list[str]) -> list[str]:
+    """The fields (``p e0 b1 m``, or ``p e0 b1 m audit``) of every line
+    that differs between the two lists or is in only one of them."""
+    def by_fields(entries):
+        return {line.rsplit(" ", 2)[0]: line for line in entries}
+
+    old, new = by_fields(pinned), by_fields(lines)
+    return [k for k in dict.fromkeys([*old, *new]) if old.get(k) != new.get(k)]
 
 
 def main(argv=None) -> int:
@@ -86,7 +114,11 @@ def main(argv=None) -> int:
     parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
     parser.add_argument("--digests", metavar="FILE",
                         help="write the analyze and audit SHA-256s of each config here")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare those SHA-256s with the lines of FILE "
+                             "for the primes run")
     args = parser.parse_args(argv)
+    audits = bool(args.digests or args.check)
 
     print("| p | passing | free | non-free | exit 3/4 | time |")
     print("| - | ------- | ---- | -------- | -------- | ---- |")
@@ -95,7 +127,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for p in args.primes:
             (p, passing, free, nonfree, bad, seconds), lines = census(
-                p, tmp, bool(args.digests))
+                p, tmp, audits)
             failed += bad
             digests += lines
             print(f"| {p} | {passing} | {free} | {nonfree} | "
@@ -104,6 +136,16 @@ def main(argv=None) -> int:
     if args.digests:
         with open(args.digests, "w") as fh:
             fh.writelines(digests)
+    if args.check:
+        with open(args.check) as fh:
+            pinned = [line for line in fh
+                      if int(line.split()[0]) in args.primes]
+        changed = differing(pinned, digests)
+        for fields in changed:
+            print(f"differs: {fields}")
+        print(f"{len(changed)} of {len(pinned)} pinned lines differ "
+              f"from {args.check}")
+        failed += len(changed)
     return 1 if failed else 0
 
 

@@ -11,15 +11,24 @@ residue r(b2) does not divide p^2 - 1; none at p = 2 or 5), so a seeded
 draw from the non-free passing configs is analyzed as well, and at
 p = 3 both verdicts must appear.
 
+A fixed slice of the box at p = 2 and 3 is also run through
+``tests/census_full_box.py``'s digests, ``analyze --json`` and
+``audit --json --sample 1 --seed 3``, and checked against the lines
+pinned in ``tests/data/census_digests.txt``: every config with e0 < 10,
+and every config whose residue b1 mod p^2 does not divide p^2 - 1, the
+residue classes of the non-free configs.
+
 Each config is written to a file of its own: on some file systems
 truncating and rewriting one file costs tens of milliseconds a time.
 """
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from census_full_box import config_digests, differing
 from tests_helpers import CENSUS_BOX
 from wittscaffold.cli import EXIT_OK, EXIT_VALIDATION, main
 
@@ -28,6 +37,8 @@ from wittscaffold.cli import EXIT_OK, EXIT_VALIDATION, main
 PASSING = {2: 243, 3: 197, 5: 110}
 SAMPLED = {2: 6, 3: 6, 5: 2}
 NONFREE_SAMPLED = 2
+
+DIGESTS = Path(__file__).parent / "data" / "census_digests.txt"
 
 
 def config_text(p, e0, b1, m):
@@ -73,3 +84,24 @@ def test_census(p, tmp_path, capsys):
         verdicts.add(structure["free"])
     if p == 3:
         assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_slice_matches_pinned_digests(p, tmp_path):
+    p2 = p * p
+    configs = [(e0, b1, m) for e0, b1, m in CENSUS_BOX
+               if e0 < 10 or (b1 % p2 and (p2 - 1) % (b1 % p2))]
+    lines = []
+    for e0, b1, m in configs:
+        result = config_digests(p, e0, b1, m, str(tmp_path), audits=True)
+        if result is not None:
+            lines += result[2]
+    configs = set(configs)
+    pinned = []
+    with open(DIGESTS) as fh:
+        for line in fh:
+            q, e0, b1, m = map(int, line.split()[:4])
+            if q == p and (e0, b1, m) in configs:
+                pinned.append(line)
+    assert pinned
+    assert differing(pinned, lines) == []

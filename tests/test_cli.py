@@ -371,19 +371,37 @@ class TestInputGaps:
         assert f"--guard-digits must be nonnegative, got {value}" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["validate", "analyze", "audit"])
-    def test_depth_cap_is_a_named_validation_failure(self, tmp_path, capsys,
-                                                     command):
-        # passes both choice checks, yet its depth 62 reaches the cap 60
+    @pytest.mark.parametrize("config, command", [
+        pytest.param(cfg, cmd, id=f"p{cfg[0]}-{cmd}")
+        for cfg, cmds in [((2, 8, 1, 6, 27), ("validate", "analyze", "audit")),
+                          ((3, 8, 1, 3, 62), ("validate", "analyze", "audit")),
+                          ((5, 10, 1, 2, 224), ("validate", "analyze"))]
+        for cmd in cmds])
+    def test_config_past_the_former_depth_cap_gets_a_report(self, tmp_path,
+                                                            capsys, config,
+                                                            command):
+        # these pass both choices and fail the freeness bound, with a depth
+        # of at least (p^2+1)/(p^2+p)*p^2*e0, which only a failing bound
+        # allows: they are reported like any other config the bound fails
+        p, e0, b1, m, depth = config
         path = tmp_path / "deep.cfg"
-        path.write_text("p = 3\ne0 = 8\na1 = pi0^-1\nmu = pi0^-3\n")
-        assert main([command, "--config", str(path), "--json"]) == EXIT_VALIDATION
+        path.write_text(f"p = {p}\ne0 = {e0}\na1 = pi0^-{b1}\nmu = pi0^-{m}\n")
+        argv = [command, "--config", str(path), "--json"]
+        if command == "audit":
+            argv += ["--sample", "3"]
+        rc = main(argv)
         captured = capsys.readouterr()
         assert captured.err == ""
         report = json.loads(captured.out)
-        assert not report["passed"]
-        assert [b["passed"] for b in report["choices"]] == [True, True, False]
-        failed = [(b["subject"], c["name"]) for b in report["choices"]
-                  for c in b["checks"] if not c["passed"]]
-        assert failed == [("ramification", "depth-below-cap")]
-        assert "= 62 < 60 =" in report["choices"][2]["checks"][0]["detail"]
+        if command == "validate":
+            assert rc == EXIT_VALIDATION
+            assert [b["passed"] for b in report["choices"]] == [True, True]
+            assert report["freeness_bound"]["holds"] is False
+            assert report["ramification"]["depth_v2"] == depth
+            assert (p * p + p) * depth >= (p * p + 1) * p * p * e0
+        elif command == "analyze":
+            assert rc == EXIT_OK
+            assert report["module_structure"]["free"] is None
+        else:
+            assert rc == EXIT_OK
+            assert report["passed"] is True

