@@ -389,9 +389,6 @@ def main(argv=None) -> int:
     except (InvariantViolation, InternalDisagreement, NoConvergence) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, OSError, ScaffoldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

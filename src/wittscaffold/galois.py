@@ -13,8 +13,9 @@ lazily and shared by all of them (``word_images``, and every one-off
 ``GroupRingElement.__call__``).  Applying a fixed set of elements to
 many x reads their basis images (``basis_images``): each element's
 images of the p^2 basis monomials x1^i x2^j, from one sweep of p^2
-orbits, after which every application is one K2 combination, the shape
-of ``Automorphism.apply`` against its power table.
+orbits, after which every application is one K2 combination.  Every
+K0-linear map of K2 is applied that way, as a ``BasisImages``: an
+automorphism's are the products image_x1^i * image_x2^j.
 """
 
 from __future__ import annotations
@@ -27,45 +28,52 @@ from .tower import ExtensionDesc, K2Element, hensel_lift
 from .witt import d_poly
 
 
-def linear_image(ext: ExtensionDesc, table, x: K2Element) -> K2Element:
-    """sum_ij x_ij * table[i][j]: the image of x under the K0-linear map
-    that sends each basis monomial x1^i x2^j to table[i][j]."""
-    return K2Element.combination(
-        ext, [(c, table[i][j]) for i, row in enumerate(x.rows)
-              for j, c in enumerate(row) if not c.is_pristine_zero()])
+class BasisImages:
+    """A K0-linear map of K2 given by its images ``table[i][j]`` of the
+    basis monomials x1^i x2^j; calling it on x is one combination, with
+    no orbit of x."""
+
+    __slots__ = ("ext", "table")
+
+    def __init__(self, ext: ExtensionDesc, table):
+        self.ext = ext
+        self.table = table
+
+    def __call__(self, x: K2Element) -> K2Element:
+        """sum_ij x_ij * table[i][j]."""
+        table = self.table
+        return K2Element.combination(
+            self.ext, [(c, table[i][j]) for i, row in enumerate(x.rows)
+                       for j, c in enumerate(row) if not c.is_pristine_zero()])
 
 
 class Automorphism:
     """A K0-automorphism of K2 given by its images of x1 and x2, and
     once known, their ``residuals`` (see ``relation_residuals``)."""
 
-    __slots__ = ("ext", "image_x1", "image_x2", "residuals", "_table")
+    __slots__ = ("ext", "image_x1", "image_x2", "residuals", "_images")
 
     def __init__(self, ext: ExtensionDesc, image_x1: K2Element, image_x2: K2Element):
         self.ext = ext
         self.image_x1 = image_x1
         self.image_x2 = image_x2
         self.residuals = None
-        self._table = None
+        self._images = None
 
-    def _power_table(self):
-        """Cached grid of image_x1^i * image_x2^j for 0 <= i, j < p; row
-        0 and column 0 are the powers themselves, with no product by one."""
-        if self._table is None:
+    def apply(self, x: K2Element) -> K2Element:
+        """Image of x through the basis images image_x1^i * image_x2^j,
+        built on first use; row 0 and column 0 are the powers themselves,
+        with no product by one.  K0 coefficients pass through unchanged."""
+        if self._images is None:
             p = self.ext.p
             apow = [self.image_x1]
             bpow = [self.ext.one(), self.image_x2]
             for _ in range(p - 2):
                 apow.append(apow[-1] * self.image_x1)
                 bpow.append(bpow[-1] * self.image_x2)
-            self._table = [bpow] + [[a] + [a * b for b in bpow[1:]]
-                                    for a in apow]
-        return self._table
-
-    def apply(self, x: K2Element) -> K2Element:
-        """Image of x: substitute the generator images into its monomial
-        expansion.  K0 coefficients pass through unchanged."""
-        return linear_image(self.ext, self._power_table(), x)
+            self._images = BasisImages(
+                self.ext, [bpow] + [[a] + [a * b for b in bpow[1:]] for a in apow])
+        return self._images(x)
 
     def __repr__(self):
         return f"Automorphism(ext={self.ext!r})"
@@ -300,36 +308,21 @@ def word_images(words: list[GroupRingElement], x: K2Element) -> list[K2Element]:
     return [word.on_orbit(image) for word in words]
 
 
-class BasisImages:
-    """A group-ring element as the K0-linear map given by its images
-    ``table[i][j]`` of the basis monomials x1^i x2^j; calling it on x is
-    one combination (``linear_image``), with no orbit of x."""
-
-    __slots__ = ("ext", "table")
-
-    def __init__(self, ext: ExtensionDesc, table):
-        self.ext = ext
-        self.table = table
-
-    def __call__(self, x: K2Element) -> K2Element:
-        return linear_image(self.ext, self.table, x)
-
-
 def basis_images(ops: list[GroupRingElement]) -> list[BasisImages]:
     """Every element of ``ops`` as its basis images, in one sweep over
-    the p^2 basis monomials: each monomial's orbit is built once, read by
-    every element, and dropped before the next one is built.  The sweep
-    costs p^2 orbits, so it pays once the elements are applied to more
-    than about p^2 elements in all."""
+    the p^2 basis monomials: each monomial's images under all of ``ops``
+    are read from one orbit (``word_images``), dropped before the next
+    monomial's is built.  The sweep costs p^2 orbits, so it pays once the
+    elements are applied to more than about p^2 elements in all."""
     ext = ops[0].sigma1.ext
     p = ext.p
-    tables = [[[None] * p for _ in range(p)] for _ in ops]
     one = ext.base.one()
+    columns = []
     for i in range(p):
         for j in range(p):
             rows = ext._empty_rows()
             rows[i][j] = one
-            image = ops[0].orbit(K2Element(ext, rows))
-            for table, op in zip(tables, ops):
-                table[i][j] = op.on_orbit(image)
-    return [BasisImages(ext, table) for table in tables]
+            columns.append(word_images(ops, K2Element(ext, rows)))
+    return [BasisImages(ext, [[columns[i * p + j][n] for j in range(p)]
+                              for i in range(p)])
+            for n in range(len(ops))]

@@ -1,9 +1,10 @@
 """K2 products and K0-linear combinations as they were before they
 became fused K0 sums of products: every term one ``K0Element.__mul__``
 and every coefficient a left fold of K0 additions.  ``mul`` is the old
-``K2Element.__mul__``, ``apply`` the old ``Automorphism.apply`` and
-``on_orbit`` the old ``GroupRingElement.on_orbit``, kept verbatim as the
-reference for ``test_k2_differential.py``.  ``y_coefficients`` and
+``K2Element.__mul__``, ``apply`` the old ``Automorphism.apply``, on
+the same power table (``power_table``), and ``on_orbit`` the old
+``GroupRingElement.on_orbit``, kept verbatim as the reference for
+``test_k2_differential.py``.  ``y_coefficients`` and
 ``from_y_grid`` are the two basis changes as they were before they
 shared one substitution helper: each ran its own Horner loop over
 ``_shift_second``, which negated mu * c after the product for the
@@ -72,10 +73,22 @@ def mul(self, other):
     return K2Element(ext, _fill(ext, [row[:p] for row in tmp[:p]]))
 
 
+def power_table(self):
+    """Grid of image_x1^i * image_x2^j for 0 <= i, j < p, built as
+    ``Automorphism.apply`` builds its basis images."""
+    p = self.ext.p
+    apow = [self.image_x1]
+    bpow = [self.ext.one(), self.image_x2]
+    for _ in range(p - 2):
+        apow.append(apow[-1] * self.image_x1)
+        bpow.append(bpow[-1] * self.image_x2)
+    return [bpow] + [[a] + [a * b for b in bpow[1:]] for a in apow]
+
+
 def apply(self, x: K2Element) -> K2Element:
     """Image of x: substitute the generator images into its monomial
     expansion.  K0 coefficients pass through unchanged."""
-    table = self._power_table()
+    table = power_table(self)
     acc = None
     for i, row in enumerate(x.rows):
         for j, c in enumerate(row):

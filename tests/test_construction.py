@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from wittscaffold.construction import (
 )
 from wittscaffold.errors import ValidationFailure
 from wittscaffold.padic import BaseField
+from wittscaffold.structure import build_tables
 
 
 @pytest.fixture(scope="module")
@@ -141,23 +143,39 @@ class TestFreenessBound:
     def test_bound_implies_the_depth_cap(self):
         # p^2*e0 > (p+1)*b2 - (p-1)*b1 with b2 > p^2*b1 keeps the depth
         # (p-1)*b2 + p*(p-1)*b1 below (p^2+1)/(p^2+p) * p^2*e0, so that
-        # cap needs no check of its own; b2 = p^2*m + b1 for every m the
-        # bound admits
+        # cap needs no check of its own; b2 = p^2*m + b1, and the bound
+        # admits only m < e0/(p+1).  For every m in that range, admitted
+        # or not, the definitions fix what the build needs no check for:
+        # the monomial valuations -b1*(i*p + j) cover Z/p^2, the index
+        # map and the landings mod p^2 are permutations, w_j <= d_j - d_0
+        # (the a = 0 term of its minimum) and u2 = p*m + b1 = -v0(a2)
         tuples = 0
         for p in (2, 3, 5, 7, 11):
             p2 = p * p
-            for e0 in range(1, 120):
-                for b1 in range(1, 60):
-                    if b1 % p == 0:
-                        continue
-                    b2 = p2 + b1
-                    while p2 * e0 > (p + 1) * b2 - (p - 1) * b1:
-                        if b2 > p2 * b1:
+            for b1 in range(1, 60):
+                if b1 % p == 0:
+                    continue
+                for m in range(1, 120 // (p + 1) + 1):
+                    b2 = p2 * m + b1
+                    residues = {(-i * p * b1 - j * b2) % p2
+                                for i in range(p) for j in range(p)}
+                    assert len(residues) == p2, (p, b1, m)
+                    tables = build_tables(
+                        SimpleNamespace(p=p, b1=b1, b2=b2, r_b2=b2 % p2))
+                    assert sorted(tables.a_map) == list(range(p2)), (p, b1, m)
+                    assert sorted(b % p2 for b in tables.b_map) == list(
+                        range(p2)), (p, b1, m)
+                    d, w = tables.d, tables.w
+                    assert all(w[j] <= d[j] - d[0] for j in range(p2)), (
+                        p, b1, m)
+                    assert b1 + (b2 - b1) // p == p * m + b1
+                    for e0 in range(1, 120):
+                        if (p2 * e0 > (p + 1) * b2 - (p - 1) * b1
+                                and b2 > p2 * b1):
                             depth = (p - 1) * b2 + p * (p - 1) * b1
                             assert depth * (p2 + p) < (p2 + 1) * p2 * e0, (
                                 p, e0, b1, b2)
                             tuples += 1
-                        b2 += p2
         assert tuples == 42500
 
 
