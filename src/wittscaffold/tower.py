@@ -591,14 +591,22 @@ def hensel_lift(c: K2Element, t0: K2Element,
 
     One step costs t^(p-1), shared by the residual t*t^(p-1) - t - c and
     the derivative p*t^(p-1) - 1, and an approximate inverse z of the
-    derivative.  A step whose residual has valuation rv only needs
-    v2(1 - f'*z) >= lift target - rv: the correction f*z then differs
-    from the exact Newton correction f/f' by f*(1/f' - z), of valuation
-    at least the lift target, so every iterate equals the exact Newton
-    iterate modulo the lift target.  z is refined from the previous
-    step's inverse: the derivatives of consecutive iterates differ by p
-    times a multiple of the Newton correction, so the seed is already
-    close and few inversion steps remain, often none.
+    derivative.  A step whose residual f has valuation rv only needs
+    v2(1 - f'*z) >= min(lift target - rv, (p-1)*rv).  Expanding,
+
+        f(t - f*z) = f*(1 - f'*z) + sum_{k=2..p} C(p,k) t^(p-k) (f*z)^k,
+
+    and z is a unit, so the sum has the lower bound it has in exact
+    Newton (z = 1/f'), at most p*rv, the valuation of its k = p term.
+    At v2(1 - f'*z) >= (p-1)*rv the first term is at least p*rv, so the
+    next residual keeps exact Newton's lower bound; at
+    v2(1 - f'*z) >= lift target - rv the first term is beyond the lift
+    target.  The iterates may then differ from exact Newton's, but the
+    roots agree to the lift target: both have residuals beyond it, and
+    f' is a unit, so Hensel uniqueness applies.  z is refined from the
+    previous step's inverse: the derivatives of consecutive iterates
+    differ by p times a multiple of the Newton correction, so the seed
+    is already close and few inversion steps remain, often none.
     """
     ext = c.ext
     p = ext.p
@@ -627,16 +635,18 @@ def hensel_lift(c: K2Element, t0: K2Element,
         fp = tp * p - one
         if fp.valuation() != 0:
             raise NoConvergence("derivative is not a unit at the iterate")
-        inv = _invert_unit(fp, inv, target - rv)
+        inv = _invert_unit(fp, inv, min(target - rv, (p - 1) * rv))
         t = t - f * inv
     raise NoConvergence("iteration budget exhausted")
 
 
 def _invert_unit(x: K2Element, z: K2Element | None, need: int) -> K2Element:
     """An approximate inverse z of a v2-valuation-zero element, with
-    v2(1 - x*z) >= ``need``, by Newton iteration z <- z + z*(1 - x*z)
-    from the approximate inverse ``z``, or from the inverse of x's
-    constant y-coefficient when it is None.
+    v2(1 - x*z) >= ``need`` and no more than a step of this iteration
+    gives, by Newton iteration z <- z + z*(1 - x*z) from the
+    approximate inverse ``z``, or from the inverse of x's constant
+    y-coefficient when it is None.  A Hensel step asks only for what its
+    own update uses (``hensel_lift``).
 
     The seed is returned unchanged when it already meets ``need``, even
     when it is known to more digits than x: only v2(1 - x*z) >= need is

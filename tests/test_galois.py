@@ -18,7 +18,12 @@ from wittscaffold.galois import (
     truncated_exp,
 )
 from wittscaffold.pipeline import JobConfig, build_context
-from wittscaffold.tower import scaffold_index, scaffold_lambda, uniformizer_exponents
+from wittscaffold.tower import (
+    K2Element,
+    scaffold_index,
+    scaffold_lambda,
+    uniformizer_exponents,
+)
 from wittscaffold.witt import WittVector2, d_poly
 
 
@@ -141,6 +146,23 @@ def test_build_lifts_twice(monkeypatch):
     monkeypatch.setattr(galois, "hensel_lift", counted)
     build_context(GOLDEN)
     assert len(lifts) == 2
+
+
+def test_deep_build_multiplies(monkeypatch):
+    # K2 products of one p=3 e0=22 build: each Hensel step inverts its
+    # derivative only to min(lift target - rv, (p-1)*rv) (was 77 when
+    # every inverse was taken to the lift target)
+    products = []
+    mul = K2Element.__mul__
+
+    def counted(x, y):
+        products.append(None)
+        return mul(x, y)
+
+    monkeypatch.setattr(K2Element, "__mul__", counted)
+    monkeypatch.setattr(K2Element, "__rmul__", counted)
+    build_context(JobConfig(3, 22, (1, -5), (1, -5)))
+    assert len(products) == 67
 
 
 def test_sigma1_residuals_are_its_lifts():

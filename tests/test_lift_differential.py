@@ -1,18 +1,21 @@
 """The Hensel lift against the code it replaced (``lift_reference.py``).
 
 The reference is exact Newton: it inverts each derivative to the
-working precision.  The lift inverts it only as far as its step needs,
-to v2(1 - f'*z) >= lift target - rv for a residual of valuation rv, so
-every iterate equals the reference's modulo the lift target.  For the
-three lifts behind sigma1 and sigma2, at the default guard digits and
-at 16, the residual valuations of every step but the last are the
-reference's, the last reaches the lift target, the roots agree to the
-lift target, every inverse meets its step's need, and the residual
-returned has the last traced valuation.  The third lift is the direct lift of sigma2
-that the build no longer makes: the build's sigma2, sigma1^p, must agree
-with it to the working target on both images.  The same lifts
-run with twice the guard digits must confirm every digit of the roots
-and inverses that the first run claims.  ``K2Element`` powers are
+working precision.  The lift inverts it only as far as its step uses,
+to v2(1 - f'*z) >= min(lift target - rv, (p-1)*rv) for a residual of
+valuation rv: the iterates may differ from the reference's, but each
+residual keeps exact Newton's lower bound, and the roots agree to the
+lift target (``tower.hensel_lift``).  For the three lifts behind sigma1
+and sigma2, at the default guard digits and at 16, the lift takes no
+more steps than the reference, the residual valuation of every step but
+the last is at least the reference's at that step, the last reaches the
+lift target, the roots agree to the lift target, every inverse meets
+its step's need, and the residual returned has the last traced
+valuation.  The third lift is the direct lift of sigma2 that the build
+no longer makes: the build's sigma2, sigma1^p, must agree with it to
+the working target on both images.  The same lifts run with twice the
+guard digits must take the same steps and confirm every digit of the
+roots and inverses that the first run claims.  ``K2Element`` powers are
 compared with the reference by the (shift, digits, absprec) of each
 nonzero K0 coefficient and the precision of each zero one, on seeded
 elements.
@@ -112,12 +115,12 @@ def test_lift_matches_reference(monkeypatch, p, e0, k, digits):
         (root, residual), steps = run_lift(monkeypatch, c, t0, trace)
         ref_root = reference_lift(monkeypatch, c, t0, ref_trace)
         assert residual.val_floor() == trace[-1]
-        assert len(trace) == len(ref_trace) == len(steps) + 1
-        assert trace[:-1] == ref_trace[:-1]
+        assert len(trace) == len(steps) + 1 <= len(ref_trace)
+        assert all(rv >= ref_rv for rv, ref_rv in zip(trace[:-1], ref_trace))
         assert trace[-1] >= target
         assert (root - ref_root).val_floor() >= target
         for rv, (x, need, z) in zip(trace, steps):
-            assert need == target - rv
+            assert need == min(target - rv, (p - 1) * rv)
             assert (desc.one() - x * z).val_floor() >= need
 
         fine_trace = []

@@ -12,10 +12,12 @@ became one table built once per build.  The p = 5 non-free report is
 the output of the code before the rho family's one orbit of rho came
 to serve freeness route 3 and the audit.  The "residual floors" detail
 of generator-defining-relations in the five audits is the output of
-the code after the Hensel lift came to invert each derivative only as
-far as its Newton step uses it: the detail prints the floors of the
-relation residuals, which lie past the lift target by as much as the
-roots overshoot it, and that change lowered the overshoot.
+the code after each Hensel step came to invert its derivative only to
+min(lift target - rv, (p-1)*rv), for a residual of valuation rv: the
+detail prints the floors of the relation residuals, which lie past the
+lift target by as much as the last step overshoots it, and that change
+moved the overshoot (at p = 2 the x1 lift's first step now lands on
+the exact root, so its floor is the working precision).
 Any change of representation must reproduce them byte for byte, with
 the same exit code.
 """
