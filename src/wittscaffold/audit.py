@@ -111,16 +111,19 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
     add("carry-term-valuation", c1.valuation() == -p * (p - 1) * b1,
         f"v2(D(x1,1)) = {c1.valuation()}, expected {-p * (p - 1) * b1}")
 
-    add("subgroup-fixes-first-generator",
-        (s2.image_x1 - x1).is_zero(),
-        "sigma2(x1) equals x1 exactly")
+    # sigma2 takes x1 as its image exactly, so this reads sigma1^p(x1)
+    # from the chain of powers that generator-order continues to p^2
+    step_p = automorphism_power(s1, p)
+    moved = step_p.image_x1 - x1
+    add("subgroup-fixes-first-generator", moved.vanishes(),
+        f"sigma1^{p}(x1) - x1 has floor {floor_text(moved)} >= {target}")
 
     delta = s2.image_x2 - x2 - 1
     delta_bound = p2 * e0 + (p - 1) * p * desc.a2.valuation()
     add("subgroup-shift-bound", delta.val_floor() >= delta_bound,
         f"v2(delta) >= {delta.val_floor()}, bound {delta_bound}")
 
-    top = automorphism_power(s1, p2)
+    top = automorphism_power(s1, p2 - p, start=step_p)
     order_ok = ((top.image_x1 - x1).vanishes() and (top.image_x2 - x2).vanishes())
     add("generator-order", order_ok,
         f"sigma1^{p2} fixes both generators to the working target")
