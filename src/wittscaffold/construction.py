@@ -227,6 +227,15 @@ def default_target_v2(p: int, e0: int) -> int:
     return 2 * p * p * e0
 
 
+# The supported range of p and e0 (README, "Supported range"), checked
+# before any arithmetic.  Measured in-process CPU of analyze on one core:
+# the smallest p = 13 config (e0 = 14) takes about 63 s and the p = 11
+# one 17 s; at e0 = 1000, a1 = mu = pi0^-1, one takes 2.4 s at p = 3 and
+# 37 s at p = 5, and at p = 3 e0 = 4000 27 s.
+MAX_P = 13
+MAX_E0 = 1000
+
+
 @dataclass
 class JobConfig:
     """Validated CLI parameters: the prime, the base ramification index,
@@ -243,8 +252,14 @@ class JobConfig:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"p must be a prime, got {self.p}")
+        if self.p > MAX_P:
+            raise ValueError(f"p out of the supported range: p must be "
+                             f"prime and at most {MAX_P}, got {self.p}")
         if self.e0 < 1:
             raise ValueError(f"e0 must be at least 1, got {self.e0}")
+        if self.e0 > MAX_E0:
+            raise ValueError(f"e0 out of the supported range: e0 must be at "
+                             f"most {MAX_E0}, got {self.e0}")
         if self.precision is not None and self.precision < 1:
             raise ValueError(
                 f"precision must be a positive v2-target, got {self.precision}"

@@ -642,11 +642,10 @@ def hensel_lift(c: K2Element, t0: K2Element,
 
 def _invert_unit(x: K2Element, z: K2Element | None, need: int) -> K2Element:
     """An approximate inverse z of a v2-valuation-zero element, with
-    v2(1 - x*z) >= ``need`` and no more than a step of this iteration
-    gives, by Newton iteration z <- z + z*(1 - x*z) from the
-    approximate inverse ``z``, or from the inverse of x's constant
-    y-coefficient when it is None.  A Hensel step asks only for what its
-    own update uses (``hensel_lift``).
+    v2(1 - x*z) >= ``need``, by Newton iteration z <- z + z*(1 - x*z)
+    from the approximate inverse ``z``, or from the inverse of x's
+    constant y-coefficient when it is None.  A Hensel step asks only for
+    what its own update uses (``hensel_lift``).
 
     The seed is returned unchanged when it already meets ``need``, even
     when it is known to more digits than x: only v2(1 - x*z) >= need is

@@ -14,7 +14,9 @@ SHA-256 of the exit code and the report, so that two trees can be
 compared config by config (``diff`` of the two files).  With
 ``--check FILE``, the same lines are compared with those of FILE for
 the primes run; every config whose line differs, or that only one
-side has, is named, and the exit code is 1.  The lines of the current
+side has, is named, the exit code is 1, and a last line counts the
+differing ``analyze`` and audit lines apart (``analyze 0 of 550
+differ; audit 3 of 550 differ``).  The lines of the current
 tree are pinned in ``tests/data/census_digests.txt``.  The exit code
 is also 1 when any config exits 3 or 4 in ``analyze``.  Run from the
 repository root (on one core, about 6 minutes for all three primes
@@ -109,6 +111,18 @@ def differing(pinned: list[str], lines: list[str]) -> list[str]:
     return [k for k in dict.fromkeys([*old, *new]) if old.get(k) != new.get(k)]
 
 
+def summary(pinned: list[str], changed: list[str]) -> str:
+    """One line counting the differing ``analyze`` and audit lines
+    apart, each against the pinned lines of its kind."""
+    pinned_fields = [line.rsplit(" ", 2)[0] for line in pinned]
+    parts = []
+    for name, audit in (("analyze", False), ("audit", True)):
+        total = sum(f.endswith(" audit") == audit for f in pinned_fields)
+        count = sum(f.endswith(" audit") == audit for f in changed)
+        parts.append(f"{name} {count} of {total} differ")
+    return "; ".join(parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
@@ -145,6 +159,7 @@ def main(argv=None) -> int:
             print(f"differs: {fields}")
         print(f"{len(changed)} of {len(pinned)} pinned lines differ "
               f"from {args.check}")
+        print(summary(pinned, changed))
         failed += len(changed)
     return 1 if failed else 0
 

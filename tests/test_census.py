@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from census_full_box import config_digests, differing
+from census_full_box import config_digests, differing, summary
 from tests_helpers import CENSUS_BOX
 from wittscaffold.cli import EXIT_OK, EXIT_VALIDATION, main
 
@@ -105,3 +105,11 @@ def test_census_slice_matches_pinned_digests(p, tmp_path):
                 pinned.append(line)
     assert pinned
     assert differing(pinned, lines) == []
+
+
+def test_check_summary_counts_analyze_and_audit_lines_apart():
+    with open(DIGESTS) as fh:
+        pinned = fh.readlines()
+    changed = ["2 4 1 1 audit", "3 5 1 1 audit", "3 5 1 1"]
+    assert summary(pinned, changed) == (
+        "analyze 1 of 550 differ; audit 2 of 550 differ")

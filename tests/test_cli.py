@@ -10,7 +10,7 @@ from wittscaffold.cli import (
     main,
     parse_monomial,
 )
-from wittscaffold.construction import DEFAULT_GUARD_DIGITS
+from wittscaffold.construction import DEFAULT_GUARD_DIGITS, MAX_E0, MAX_P, JobConfig
 
 
 EXAMPLE_CFG = """\
@@ -291,6 +291,26 @@ class TestInputGaps:
         path.write_text(f"p = {p}\ne0 = 6\na1 = pi0^-1\nmu = pi0^-1\n")
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
         assert "p must be prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p,e0,message", [
+        # a prime whose trial division up to sqrt(p) never ended
+        (10**18 + 3, 6, "p out of the supported range"),
+        (17, 20, "p out of the supported range"),
+        # e0 zeros used to be allocated per field: OverflowError
+        (3, 10**26 - 1, "e0 out of the supported range"),
+        (3, 1001, "e0 out of the supported range"),
+    ])
+    def test_out_of_range_p_or_e0_is_a_validation_failure(
+            self, tmp_path, capsys, p, e0, message):
+        path = tmp_path / "range.cfg"
+        path.write_text(f"p = {p}\ne0 = {e0}\na1 = pi0^-1\nmu = pi0^-1\n")
+        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_range_ends_are_supported(self):
+        JobConfig(p=MAX_P, e0=MAX_E0, a1=(1, -1), mu=(1, -1))
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     @pytest.mark.parametrize("value", ["0", "-5"])

@@ -16,8 +16,10 @@ the code after each Hensel step came to invert its derivative only to
 min(lift target - rv, (p-1)*rv), for a residual of valuation rv: the
 detail prints the floors of the relation residuals, which lie past the
 lift target by as much as the last step overshoots it, and that change
-moved the overshoot (at p = 2 the x1 lift's first step now lands on
-the exact root, so its floor is the working precision).
+moved the overshoot.  At p = 2 the x1 lift's first step lands on the
+exact root, whose residual vanishes at its precision and prints as
+O(prec).  The detail of subgroup-fixes-first-generator is the output of
+the code after that check came to read sigma1^p(x1).
 Any change of representation must reproduce them byte for byte, with
 the same exit code.
 """
