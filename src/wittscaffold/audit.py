@@ -91,39 +91,14 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
     def add(name, passed, detail):
         results.append(Check(name, passed, detail))
 
-    from .witt import WittVector2, d_poly
+    from .witt import WittVector2
 
     r1, r2 = relation_residuals(s1)
     add("generator-defining-relations",
         r1.vanishes() and r2.vanishes(),
         f"residual floors {floor_text(r1)}, {floor_text(r2)} >= {target}")
 
-    eps = s1.image_x1 - x1 - 1
-    expected_eps = p2 * e0 - p * (p - 1) * b1
-    try:
-        ev = eps.valuation()
-    except IndeterminateValuation:
-        ev = None
-    add("epsilon-valuation", ev == expected_eps,
-        f"v2(eps) = {ev}, expected {expected_eps}")
-
-    c1 = d_poly(x1, desc.one(), p)
-    add("carry-term-valuation", c1.valuation() == -p * (p - 1) * b1,
-        f"v2(D(x1,1)) = {c1.valuation()}, expected {-p * (p - 1) * b1}")
-
-    # sigma2 takes x1 as its image exactly, so this reads sigma1^p(x1)
-    # from the chain of powers that generator-order continues to p^2
-    step_p = automorphism_power(s1, p)
-    moved = step_p.image_x1 - x1
-    add("subgroup-fixes-first-generator", moved.vanishes(),
-        f"sigma1^{p}(x1) - x1 has floor {floor_text(moved)} >= {target}")
-
-    delta = s2.image_x2 - x2 - 1
-    delta_bound = p2 * e0 + (p - 1) * p * desc.a2.valuation()
-    add("subgroup-shift-bound", delta.val_floor() >= delta_bound,
-        f"v2(delta) >= {delta.val_floor()}, bound {delta_bound}")
-
-    top = automorphism_power(s1, p2 - p, start=step_p)
+    top = automorphism_power(s1, p2)
     order_ok = ((top.image_x1 - x1).vanishes() and (top.image_x2 - x2).vanishes())
     add("generator-order", order_ok,
         f"sigma1^{p2} fixes both generators to the working target")
@@ -216,12 +191,10 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
         add("psi1-pth-power-valuation", v == 2 * b2,
             f"v2(psi1^p rho) = {v}, expected {2 * b2}")
 
+    delta = s2.image_x2 - x2 - 1
     tr = sub_trace(delta)
     add("trace-of-shift-error", (tr + p).vanishes(),
         "Tr over the subextension of delta equals -p to the working target")
-
-    tr_one = trace(desc.one())
-    add("trace-of-one", (tr_one - p2).vanishes(), f"full trace of 1 is p^2 = {p2}")
 
     depth = ctx.rd.depth
     ok = True
@@ -236,22 +209,6 @@ def galois_invariant_suite(ctx, rng: random.Random, samples: int) -> list[Check]
             break
     add("depth-bound-on-traces", ok,
         detail or f"v2(Tr y / y) >= depth {depth} on {samples} samples")
-
-    ok = True
-    detail = ""
-    for n in range(max(0, min(samples, 8))):
-        x = element_with_valuation(desc, rng, rng.randrange(0, p2))
-        y = element_with_valuation(desc, rng, rng.randrange(0, p2))
-        c0 = desc.base.monomial(rng.randrange(1, p2), rng.randrange(-2, 3))
-        for op in (psi1, psi2):
-            lin = op(x.scale(c0) + y) - (op(x).scale(c0) + op(y))
-            if not lin.vanishes():
-                ok = False
-                detail = f"sample {n}: operator not K0-linear"
-                break
-        if not ok:
-            break
-    add("operator-linearity", ok, detail or "psi operators are K0-linear on samples")
 
     add("operators-kill-constants",
         psi1(desc.from_int(7)).is_zero() and psi2(desc.from_int(7)).is_zero(),
@@ -293,14 +250,6 @@ def structure_invariant_suite(ctx, rng: random.Random,
 
     add("w-table-brute-force", brute_force_w(ctx.rd) == tables.w,
         "exhaustive recomputation reproduces the w table")
-
-    rep = ctx.module_report
-    if rep is not None:
-        agree = (rep.residue_divides == rep.w_equals_d_minus_d0
-                 == rep.generator_complete)
-        add("freeness-routes-agree", agree,
-            f"divisibility={rep.residue_divides}, w-table={rep.w_equals_d_minus_d0}, "
-            f"generator={rep.generator_complete}")
 
     grid = congruence_audit(desc, tables, operator_images(ctx)[:p2], ctx.rhos)
     add("congruence-grid", grid.passed,

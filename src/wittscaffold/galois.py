@@ -79,15 +79,10 @@ class Automorphism:
         return f"Automorphism(ext={self.ext!r})"
 
 
-def automorphism_power(auto: Automorphism, n: int,
-                       start: Automorphism | None = None) -> Automorphism:
+def automorphism_power(auto: Automorphism, n: int) -> Automorphism:
     """auto^n, n >= 0: ``auto`` applied n times to the images of x1 and
-    x2, or to those of ``start`` when given, which continues a chain of
-    powers of ``auto`` (auto^n * start)."""
-    if start is None:
-        image_x1, image_x2 = auto.ext.x1(), auto.ext.x2()
-    else:
-        image_x1, image_x2 = start.image_x1, start.image_x2
+    x2."""
+    image_x1, image_x2 = auto.ext.x1(), auto.ext.x2()
     for _ in range(n):
         image_x1, image_x2 = auto.apply(image_x1), auto.apply(image_x2)
     return Automorphism(auto.ext, image_x1, image_x2)

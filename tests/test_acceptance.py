@@ -135,7 +135,6 @@ def test_criterion_4_galois_correctness(ctx5, suites5):
     start = time.time()
     names = [
         "generator-defining-relations",
-        "epsilon-valuation",
         "generator-order",
         "trace-of-shift-error",
     ]

@@ -18,8 +18,9 @@ detail prints the floors of the relation residuals, which lie past the
 lift target by as much as the last step overshoots it, and that change
 moved the overshoot.  At p = 2 the x1 lift's first step lands on the
 exact root, whose residual vanishes at its precision and prints as
-O(prec).  The detail of subgroup-fixes-first-generator is the output of
-the code after that check came to read sigma1^p(x1).
+O(prec).  The five audits are the output of the code after the audit
+lost the seven checks that no run could fail; every entry left is the
+one the code before printed.
 Any change of representation must reproduce them byte for byte, with
 the same exit code.
 """
