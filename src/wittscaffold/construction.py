@@ -7,7 +7,6 @@ touches floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -235,6 +234,13 @@ def default_target_v2(p: int, e0: int) -> int:
 MAX_P = 13
 MAX_E0 = 1000
 
+# The most coefficient digits, guard digits included, that a build or
+# one of its guard-digit retries may use (construct_extension).  Measured
+# in-process CPU of analyze on one core: golden (p = 3, e0 = 6) takes
+# 0.9 s at 2000 digits and 3.4 s at 4000; p = 5, e0 = 7 takes 13 s at
+# 1000 digits.
+MAX_PREC_DIGITS = 4000
+
 
 @dataclass
 class JobConfig:
@@ -297,7 +303,7 @@ def default_prec_digits(p: int, e0: int, target_v2: int,
     """Coefficient digit precision: the pi0-digits the absolute
     v2-target needs, plus ``guard_digits`` of headroom for the losses of
     intermediate steps (the Hensel lifts and their inverses above all)."""
-    return max(2, math.ceil(target_v2 / (p * p * e0))) + guard_digits
+    return max(2, -(-target_v2 // (p * p * e0))) + guard_digits
 
 
 def _exact_monomial(base: BaseField, c: int, k: int) -> K0Element:
@@ -324,6 +330,11 @@ def construct_extension(
     if target_v2 is None:
         target_v2 = default_target_v2(p, e0)
     prec = default_prec_digits(p, e0, target_v2, guard_digits)
+    if prec > MAX_PREC_DIGITS:
+        raise ValueError(
+            f"coefficient digits out of the supported range: the build "
+            f"would need {prec} digits, more than {MAX_PREC_DIGITS}; lower "
+            f"the precision or the guard digits")
     base = BaseField(p, e0, prec_digits=prec)
     a1 = _exact_monomial(base, *a1_mono)
     mu = _exact_monomial(base, *mu_mono)

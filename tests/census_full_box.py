@@ -19,10 +19,10 @@ differing ``analyze`` and audit lines apart (``analyze 0 of 550
 differ; audit 3 of 550 differ``).  The lines of the current
 tree are pinned in ``tests/data/census_digests.txt``.  The exit code
 is also 1 when any config exits 3 or 4 in ``analyze``.  Run from the
-repository root (on one core, about 6 minutes for all three primes
-without audits; with ``--digests`` or ``--check`` about 1 minute for
-p = 2 and 3 and 13-15 minutes for p = 5, most of them the p = 5
-audits):
+repository root (on one core of a 2-vCPU host, about 55 s for all
+three primes without audits: 5 s at p = 2, 10 s at p = 3 and 39 s at
+p = 5; with ``--digests`` or ``--check`` about 45 s for p = 2 and 3
+and 12 minutes for p = 5, most of them the p = 5 audits):
 
     PYTHONPATH=src python3 tests/census_full_box.py --primes 2 3 5 --check tests/data/census_digests.txt
 

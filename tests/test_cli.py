@@ -292,19 +292,34 @@ class TestInputGaps:
         assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
         assert "p must be prime" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("p,e0,message", [
+    # p, e0, extra config lines, command and flags, expected message
+    OUT_OF_RANGE = [
         # a prime whose trial division up to sqrt(p) never ended
-        (10**18 + 3, 6, "p out of the supported range"),
-        (17, 20, "p out of the supported range"),
+        (10**18 + 3, 6, "", ["validate"], "p out of the supported range"),
+        (17, 20, "", ["validate"], "p out of the supported range"),
         # e0 zeros used to be allocated per field: OverflowError
-        (3, 10**26 - 1, "e0 out of the supported range"),
-        (3, 1001, "e0 out of the supported range"),
-    ])
+        (3, 10**26 - 1, "", ["validate"], "e0 out of the supported range"),
+        (3, 1001, "", ["validate"], "e0 out of the supported range"),
+        # each of these three used to run past a 5 s timeout
+        (3, 6, "precision = " + "9" * 35 + "\n", ["validate"],
+         "coefficient digits out of the supported range"),
+        (3, 6, "", ["validate", "--guard-digits", "1000000000"],
+         "coefficient digits out of the supported range"),
+        (3, 6, "", ["analyze", "--guard-digits", "100000"],
+         "coefficient digits out of the supported range"),
+    ]
+
+    @pytest.mark.parametrize(
+        "p,e0,extra,argv,message", OUT_OF_RANGE,
+        ids=["-".join(map(str, [p, e0, message] + argv[1:]))
+             + ("-precision" if extra else "")
+             for p, e0, extra, argv, message in OUT_OF_RANGE])
     def test_out_of_range_p_or_e0_is_a_validation_failure(
-            self, tmp_path, capsys, p, e0, message):
+            self, tmp_path, capsys, p, e0, extra, argv, message):
         path = tmp_path / "range.cfg"
-        path.write_text(f"p = {p}\ne0 = {e0}\na1 = pi0^-1\nmu = pi0^-1\n")
-        assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+        path.write_text(f"p = {p}\ne0 = {e0}\na1 = pi0^-1\nmu = pi0^-1\n"
+                        + extra)
+        assert main([*argv, "--config", str(path)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""

@@ -189,6 +189,24 @@ def test_build_rejects_a_wrong_power(monkeypatch, shift):
         build_context(GOLDEN)
 
 
+def test_build_rejects_a_wrong_epsilon(monkeypatch):
+    # the x1 lift's root moved by pi0^5 gives v2(eps) = 5 p^2 = 45, not
+    # p^2 e0 - p(p-1) b1 = 48
+    from wittscaffold import galois
+
+    lift = galois.hensel_lift
+
+    def moved(c, t0, trace=None):
+        root, residual = lift(c, t0, trace)
+        if t0 == t0.ext.x1() + 1:
+            root = root + root.ext.pi0(5)
+        return root, residual
+
+    monkeypatch.setattr(galois, "hensel_lift", moved)
+    with pytest.raises(InvariantViolation, match="v2\\(eps\\) = 45"):
+        build_context(GOLDEN)
+
+
 def test_build_rejects_an_identity_apply(monkeypatch):
     # sigma1^p composed from applies that return their input is the
     # identity, whose x2 image misses x2 + 1 + delta

@@ -6,7 +6,11 @@ from wittscaffold.construction import (
     construct_extension,
     ramification_data,
 )
-from wittscaffold.errors import BoundNotSatisfied, InvariantViolation
+from wittscaffold.errors import (
+    BoundNotSatisfied,
+    InternalDisagreement,
+    InvariantViolation,
+)
 from wittscaffold.pipeline import JobConfig, build_context
 from wittscaffold.galois import (
     compute_sigma1,
@@ -147,6 +151,15 @@ class TestFreeness:
         images, _ = rho_family(desc, tables, words, rho0)
         with pytest.raises(BoundNotSatisfied):
             associated_order_and_freeness(desc, tables, images, bound)
+
+    def test_routes_that_disagree_raise(self, ctx5):
+        # one image moved up by pi0 leaves routes 1 and 2 free, while
+        # route 3's valuations no longer cover 0..p^2-1
+        images = list(ctx5.rho_images)
+        images[1] = images[1].scale(ctx5.desc.base.pi0(1))
+        with pytest.raises(InternalDisagreement, match="routes disagree"):
+            associated_order_and_freeness(ctx5.desc, ctx5.tables, images,
+                                          ctx5.bound)
 
     def test_label_rendering(self, ctx5):
         tables = ctx5.tables
