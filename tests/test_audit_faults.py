@@ -48,10 +48,8 @@ def rebuilt(ctx, stage):
     return ctx
 
 
-def with_sigma1(ctx, image_x1=None, image_x2=None):
-    s1 = ctx.sigma1
-    ctx.sigma1 = Automorphism(s1.ext, s1.image_x1 if image_x1 is None else image_x1,
-                              s1.image_x2 if image_x2 is None else image_x2)
+def with_x1_image(ctx, image_x1):
+    ctx.sigma1 = Automorphism(ctx.desc, image_x1, ctx.sigma1.image_x2)
     return rebuilt(ctx, "sigma")
 
 
@@ -61,11 +59,11 @@ def fault(ctx):
 
 
 def x1_moved_by_two(ctx):
-    return with_sigma1(ctx, image_x1=ctx.sigma1.image_x1 + 1)
+    return with_x1_image(ctx, ctx.sigma1.image_x1 + 1)
 
 
 def x1_translated(ctx):
-    return with_sigma1(ctx, image_x1=ctx.desc.x1() + ctx.desc.pi0(-1))
+    return with_x1_image(ctx, ctx.desc.x1() + ctx.desc.pi0(-1))
 
 
 def sigma2_is_sigma1(ctx):
